@@ -804,12 +804,12 @@ benchWireServer(const std::vector<std::string> &pool,
 
     double qps = 0.0, p50 = 0.0, p99 = 0.0;
     {
-        ProfileStore store;
+        WarehouseManager manager;
+        const CorpusHandle corpus = manager.create(server::kDefaultCorpus);
         for (std::size_t i = 0; i < pool.size() && i < 16; ++i)
-            store.ingestText("run-" + std::to_string(i), pool[i]);
-        store.waitIdle();
-        QueryEngine engine(store);
-        server::WireServer server(store, engine);
+            corpus->store.ingestText("run-" + std::to_string(i), pool[i]);
+        corpus->store.waitIdle();
+        server::WireServer server(manager);
         std::string error;
         if (!server.start(&error)) {
             std::printf("cannot start bench server: %s\n",
@@ -822,7 +822,7 @@ benchWireServer(const std::vector<std::string> &pool,
                         error.c_str());
             return;
         }
-        (void)engine.topKernels(16); // warm the materialized view
+        (void)corpus->engine.topKernels(16); // warm the materialized view
 
         constexpr int kWarmup = 50, kRequests = 500;
         std::vector<server::KernelRow> rows;
@@ -861,12 +861,11 @@ benchWireServer(const std::vector<std::string> &pool,
     // watermark, require the shed contract to hold exactly.
     bool shed_correct = false;
     {
-        ProfileStore store;
-        QueryEngine engine(store);
+        WarehouseManager manager;
         server::ServerOptions options;
         options.workers = 1;
         options.max_pending = 4;
-        server::WireServer server(store, engine, options);
+        server::WireServer server(manager, options);
         std::string error;
         if (server.start(&error) &&
             failpoint::set("srv.exec", "delay(100)")) {

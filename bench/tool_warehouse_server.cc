@@ -1,17 +1,17 @@
 /**
  * @file
- * Standalone warehouse server: a durable ProfileStore + QueryEngine
- * behind the wire front end (src/server/), run as a process.
+ * Standalone warehouse server: a WarehouseManager behind the wire front
+ * end (src/server/), run as a process.
  *
  * The process-level robustness contract lives here:
  *
  *  - SIGTERM / SIGINT trigger a graceful drain — stop accepting,
- *    finish or shed in-flight work, drain the ingestion queue so every
+ *    finish or shed in-flight work, drain the ingestion queues so every
  *    acked run is in the WAL, flush outboxes — and the process exits 0.
- *  - SIGKILL (the crash-torture harness) is survived by the store's
- *    log: restarting against the same --data-dir recovers the corpus.
+ *  - SIGKILL (the crash-torture harness) is survived by the corpora's
+ *    logs: restarting against the same --corpus-root recovers them.
  *
- * Usage: tool_warehouse_server [--port P] [--host H] [--data-dir DIR]
+ * Usage: tool_warehouse_server [--port P] [--host H]
  *          [--corpus-root DIR] [--max-open N]
  *          [--workers N] [--max-pending N] [--max-conn-pending N]
  *          [--idle-timeout-ms N] [--drain-timeout-ms N]
@@ -21,27 +21,22 @@
  * writes "host port\n" atomically once listening, which is how the
  * soak/torture drivers find a server they just spawned.
  *
- * Serving modes: --data-dir runs the legacy single-corpus server;
- * --corpus-root DIR runs the multi-corpus WarehouseManager with one
- * subdirectory per corpus under DIR (--max-open bounds the open set;
- * cold corpora are LRU-closed and reopened on demand). The two flags
- * are mutually exclusive. With neither, a volatile multi-corpus
- * manager serves in-memory corpora.
+ * --corpus-root DIR keeps one subdirectory per corpus under DIR;
+ * requests that name no corpus go to DIR/default. --max-open bounds the
+ * open set (cold corpora are LRU-closed and reopened on demand).
+ * Without --corpus-root the corpora live in memory only.
  */
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include <unistd.h>
 
 #include "common/fs.h"
 #include "server/server.h"
-#include "service/profile_store.h"
-#include "service/query_engine.h"
 #include "service/warehouse_manager.h"
 
 namespace {
@@ -65,10 +60,8 @@ main(int argc, char **argv)
     using namespace dc;
 
     server::ServerOptions options;
-    service::ProfileStore::Options store_options;
-    store_options.workers = 2;
-    std::string corpus_root;
-    std::size_t max_open = 8;
+    service::WarehouseManager::Options manager_options;
+    manager_options.store.workers = 2;
     std::string port_file;
 
     for (int i = 1; i < argc; ++i) {
@@ -80,12 +73,11 @@ main(int argc, char **argv)
                 static_cast<std::uint16_t>(std::atoi(argv[++i]));
         } else if (arg("--host")) {
             options.host = argv[++i];
-        } else if (arg("--data-dir")) {
-            store_options.data_dir = argv[++i];
         } else if (arg("--corpus-root")) {
-            corpus_root = argv[++i];
+            manager_options.root_dir = argv[++i];
         } else if (arg("--max-open")) {
-            max_open = static_cast<std::size_t>(std::atoi(argv[++i]));
+            manager_options.max_open =
+                static_cast<std::size_t>(std::atoi(argv[++i]));
         } else if (arg("--workers")) {
             options.workers =
                 static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -109,54 +101,26 @@ main(int argc, char **argv)
         }
     }
 
-    if (!corpus_root.empty() && !store_options.data_dir.empty()) {
-        std::fprintf(stderr,
-                     "--corpus-root and --data-dir are exclusive\n");
-        return 2;
-    }
-    const bool single_corpus = !store_options.data_dir.empty();
-
-    // Exactly one serving stack is built; the unused unique_ptrs stay
-    // empty. The manager owns its stores; the legacy pair lives here.
-    std::unique_ptr<service::ProfileStore> store;
-    std::unique_ptr<service::QueryEngine> engine;
-    std::unique_ptr<service::WarehouseManager> manager;
-    std::unique_ptr<server::WireServer> server;
-    if (single_corpus) {
-        store = std::make_unique<service::ProfileStore>(store_options);
-        engine = std::make_unique<service::QueryEngine>(*store);
-        server = std::make_unique<server::WireServer>(*store, *engine,
-                                                      options);
-    } else {
-        service::WarehouseManager::Options manager_options;
-        manager_options.root_dir = corpus_root;
-        manager_options.max_open = max_open;
-        manager_options.store = store_options;
-        manager =
-            std::make_unique<service::WarehouseManager>(manager_options);
-        server = std::make_unique<server::WireServer>(*manager, options);
-    }
-
+    service::WarehouseManager manager(manager_options);
+    server::WireServer server(manager, options);
     std::string error;
-    if (!server->start(&error)) {
+    if (!server.start(&error)) {
         std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
         return 1;
     }
-    std::printf("warehouse server on %s:%u (%s: %s)\n",
-                options.host.c_str(), server->port(),
-                single_corpus ? "data-dir" : "corpus-root",
-                single_corpus
-                    ? store_options.data_dir.c_str()
-                    : (corpus_root.empty() ? "<in-memory>"
-                                           : corpus_root.c_str()));
+    std::printf("warehouse server on %s:%u (corpus-root: %s)\n",
+                options.host.c_str(), server.port(),
+                manager_options.root_dir.empty()
+                    ? "<in-memory>"
+                    : manager_options.root_dir.c_str());
     std::fflush(stdout);
     if (!port_file.empty()) {
         const std::string line =
-            options.host + " " + std::to_string(server->port()) + "\n";
+            options.host + " " + std::to_string(server.port()) + "\n";
         if (!atomicWriteFile(port_file, line, &error)) {
             std::fprintf(stderr, "cannot write port file: %s\n",
                          error.c_str());
-            server->stop();
+            server.stop();
             return 1;
         }
     }
@@ -171,9 +135,9 @@ main(int argc, char **argv)
 
     std::printf("shutdown signal: draining\n");
     std::fflush(stdout);
-    server->drain();
-    server->stop();
-    const server::ServerStats stats = server->stats();
+    server.drain();
+    server.stop();
+    const server::ServerStats stats = server.stats();
     std::printf("drained: %llu requests, %llu shed, %llu deadline, "
                 "%llu bad frames\n",
                 static_cast<unsigned long long>(stats.requests),

@@ -68,11 +68,18 @@ struct ThreadRing;
  *   obs::ObsSpan span(site, run_count);
  */
 struct SpanSite {
+    constexpr explicit SpanSite(const char *site_name,
+                                std::uint32_t shift = 0,
+                                std::uint64_t slow = 0)
+        : name(site_name), sample_shift(shift), slow_ns(slow)
+    {
+    }
+
     const char *name;
     /** Time 1 in 2^sample_shift spans (0 = every span). */
-    std::uint32_t sample_shift = 0;
+    std::uint32_t sample_shift;
     /** Slow-op log threshold; 0 defers to DC_OBS_SLOW_NS. */
-    std::uint64_t slow_ns = 0;
+    std::uint64_t slow_ns;
 
     std::atomic<int> inited{0};
     Counter count;     ///< "<name>.count"

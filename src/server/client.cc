@@ -121,8 +121,8 @@ WireClient::send(Opcode opcode, std::uint16_t flags,
     const std::uint64_t id = next_id_++;
     if (request_id != nullptr)
         *request_id = id;
-    // v2 frames scope single-corpus opcodes to the client's corpus;
-    // ping and the corpus/federated opcodes carry unscoped payloads.
+    // Single-corpus opcodes are scoped to the client's corpus; ping
+    // and the corpus/federated opcodes carry unscoped payloads.
     std::string scoped;
     if (opcode >= Opcode::kIngest && opcode <= Opcode::kStats) {
         scoped = encodeCorpusScoped(corpus_, payload);

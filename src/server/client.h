@@ -19,13 +19,12 @@
  *    overload tests use this to stack requests past the server's
  *    admission watermark and count the OVERLOADED sheds.
  *
- * **Corpus addressing (wire v2).** The client speaks v2: every
- * single-corpus request (ingest..stats) is scoped to the corpus set
- * with setCorpus() — the default empty id addresses the server's
- * default corpus, so callers that never mention corpora behave exactly
- * as under v1. Corpus lifecycle and federated queries get their own
- * conveniences below. send() applies the scoping too (the payload
- * argument is the *opcode* payload; the corpus prefix is added
+ * **Corpus addressing.** Every single-corpus request (ingest..stats)
+ * is scoped to the corpus set with setCorpus() — the default empty id
+ * addresses the server's default corpus, so callers that never mention
+ * corpora need no setup. Corpus lifecycle and federated queries get
+ * their own conveniences below. send() applies the scoping too (the
+ * payload argument is the *opcode* payload; the corpus prefix is added
  * internally), so pipelined callers inherit it for free.
  *
  * Not thread-safe; one WireClient per thread (connections are cheap).
@@ -107,14 +106,14 @@ class WireClient
     /** Result payload: key=value lines. */
     Result stats();
 
-    // --------------------------------------- corpus lifecycle (v2)
+    // -------------------------------------------- corpus lifecycle
     Result corpusCreate(const std::string &corpus_id);
     Result corpusOpen(const std::string &corpus_id);
     Result corpusClose(const std::string &corpus_id);
     Result corpusDrop(const std::string &corpus_id);
     Result corpusList(std::vector<CorpusInfo> *corpora);
 
-    // --------------------------------------- federated queries (v2)
+    // ------------------------------------------- federated queries
     Result federatedTopKernels(const std::vector<std::string> &corpora,
                                std::uint32_t k,
                                const std::string &metric,

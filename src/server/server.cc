@@ -108,17 +108,9 @@ clampOptions(ServerOptions &options)
 
 } // namespace
 
-WireServer::WireServer(service::ProfileStore &store,
-                       const service::QueryEngine &engine,
-                       ServerOptions options)
-    : store_(&store), engine_(&engine), options_(std::move(options))
-{
-    clampOptions(options_);
-}
-
 WireServer::WireServer(service::WarehouseManager &manager,
                        ServerOptions options)
-    : manager_(&manager), options_(std::move(options))
+    : manager_(manager), options_(std::move(options))
 {
     clampOptions(options_);
 }
@@ -242,10 +234,7 @@ WireServer::drain()
     }
     // Every acked ingest is already on its store's queue (or done);
     // drain so the WALs hold them all before the process exits.
-    if (manager_ != nullptr)
-        manager_->waitIdle();
-    else
-        store_->waitIdle();
+    manager_.waitIdle();
     // Give unflushed outboxes a chance to reach their peers.
     while (std::chrono::steady_clock::now() < deadline) {
         if (flushed_all_.load())
@@ -530,7 +519,7 @@ WireServer::dispatch(const std::shared_ptr<Conn> &conn, Frame frame)
     Work work;
     work.conn = conn;
     if (frame.deadline_ms > 0)
-        work.deadline = service::Deadline::afterMs(frame.deadline_ms);
+        work.deadline = common::Deadline::afterMs(frame.deadline_ms);
     work.frame = std::move(frame);
     {
         std::lock_guard<std::mutex> lock(work_mutex_);
@@ -564,7 +553,7 @@ WireServer::workerLoop()
         } else if (work.deadline.expired()) {
             status = Status::kDeadlineExceeded;
         } else {
-            service::ScopedDeadline scope(work.deadline);
+            common::ScopedDeadline scope(work.deadline);
             status = execute(work, &payload);
             // A response past its deadline is useless to the caller
             // regardless of content; report the timeout. For
@@ -589,42 +578,20 @@ WireServer::workerLoop()
     }
 }
 
-Status
-WireServer::resolveTarget(const std::string &corpus_id, Target *target,
+service::CorpusHandle
+WireServer::resolveCorpus(const std::string &corpus_id,
                           std::string *payload)
 {
-    if (manager_ == nullptr) {
-        // Single-corpus server: the one store answers to the default
-        // corpus name (and to no name at all).
-        if (!corpus_id.empty() &&
-            corpus_id != options_.default_corpus) {
-            *payload = "unknown corpus '" + corpus_id +
-                       "' (single-corpus server)";
-            return Status::kNotFound;
-        }
-        target->store = store_;
-        target->engine = engine_;
-        return Status::kOk;
-    }
-    const std::string &id =
-        corpus_id.empty() ? options_.default_corpus : corpus_id;
     std::string error;
-    service::CorpusHandle handle = manager_->open(id, &error);
-    if (handle == nullptr && id == options_.default_corpus) {
-        // v1 peers know nothing of corpora; the default one springs
-        // into being on first touch so they keep working unchanged.
-        handle = manager_->create(id, &error);
+    service::CorpusHandle handle = manager_.open(corpus_id, &error);
+    if (handle == nullptr && corpus_id == kDefaultCorpus) {
+        handle = manager_.create(corpus_id, &error);
         if (handle == nullptr) // lost a create race
-            handle = manager_->open(id, &error);
+            handle = manager_.open(corpus_id, &error);
     }
-    if (handle == nullptr) {
+    if (handle == nullptr)
         *payload = error.empty() ? "unknown corpus" : error;
-        return Status::kNotFound;
-    }
-    target->store = &handle->store;
-    target->engine = &handle->engine;
-    target->handle = std::move(handle);
-    return Status::kOk;
+    return handle;
 }
 
 Status
@@ -635,31 +602,31 @@ WireServer::execute(const Work &work, std::string *payload)
     (void)s_fp_exec.eval();
     const Frame &frame = work.frame;
     if (frame.opcode() == Opcode::kPing) {
-        *payload = frame.payload; // raw in every version
+        *payload = frame.payload; // raw: ping is never corpus-scoped
         return Status::kOk;
     }
     if (frame.kind >= static_cast<std::uint8_t>(Opcode::kCorpusCreate))
         return executeManager(work, payload);
 
-    // Single-corpus opcodes: strip the v2 corpus prefix (v1 frames
-    // address the default corpus with their whole payload) and pin
-    // the target corpus for the request's duration.
+    // Single-corpus opcodes: strip the corpus prefix and pin the
+    // addressed corpus for the request's duration.
     std::string corpus_id;
     std::string_view op_payload;
-    if (!splitCorpusScoped(frame, &corpus_id, &op_payload)) {
+    if (!splitCorpusScoped(frame.payload, &corpus_id, &op_payload)) {
         *payload = "bad corpus prefix";
         return Status::kBadRequest;
     }
-    Target target;
-    const Status resolved = resolveTarget(corpus_id, &target, payload);
-    if (resolved != Status::kOk)
-        return resolved;
-    service::ProfileStore &store = *target.store;
-    const service::QueryEngine &engine = *target.engine;
+    if (corpus_id.empty())
+        corpus_id = kDefaultCorpus;
+    const service::CorpusHandle corpus = resolveCorpus(corpus_id, payload);
+    if (corpus == nullptr)
+        return Status::kNotFound;
+    service::ProfileStore &store = corpus->store;
+    const service::QueryEngine &engine = corpus->engine;
 
     switch (frame.opcode()) {
     case Opcode::kIngest:
-        return executeIngest(target, op_payload, frame.flags, payload);
+        return executeIngest(store, op_payload, frame.flags, payload);
     case Opcode::kErase: {
         WireReader reader(op_payload);
         const std::string run_id = reader.str();
@@ -752,7 +719,7 @@ WireServer::execute(const Work &work, std::string *payload)
         return Status::kOk;
     }
     case Opcode::kStats:
-        *payload = statsPayload(target);
+        *payload = statsPayload(*corpus);
         return Status::kOk;
     default:
         break;
@@ -764,10 +731,6 @@ WireServer::execute(const Work &work, std::string *payload)
 Status
 WireServer::executeManager(const Work &work, std::string *payload)
 {
-    if (manager_ == nullptr) {
-        *payload = "corpus operations need a multi-corpus server";
-        return Status::kBadRequest;
-    }
     const Frame &frame = work.frame;
     std::string error;
     // Map a failed federated query: a deadline expiry is reported as
@@ -786,7 +749,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
             *payload = "bad corpus payload";
             return Status::kBadRequest;
         }
-        if (manager_->create(id, &error) == nullptr) {
+        if (manager_.create(id, &error) == nullptr) {
             *payload = error;
             return Status::kError;
         }
@@ -798,7 +761,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
             *payload = "bad corpus payload";
             return Status::kBadRequest;
         }
-        if (manager_->open(id, &error) == nullptr) {
+        if (manager_.open(id, &error) == nullptr) {
             *payload = error;
             return Status::kNotFound;
         }
@@ -810,7 +773,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
             *payload = "bad corpus payload";
             return Status::kBadRequest;
         }
-        if (!manager_->close(id)) {
+        if (!manager_.close(id)) {
             *payload = "corpus '" + id + "' is not open";
             return Status::kNotFound;
         }
@@ -822,7 +785,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
             *payload = "bad corpus payload";
             return Status::kBadRequest;
         }
-        if (!manager_->drop(id, &error)) {
+        if (!manager_.drop(id, &error)) {
             *payload = error;
             return Status::kNotFound;
         }
@@ -830,14 +793,14 @@ WireServer::executeManager(const Work &work, std::string *payload)
     }
     case Opcode::kCorpusList: {
         std::vector<CorpusInfo> infos;
-        for (const std::string &id : manager_->corpusIds()) {
+        for (const std::string &id : manager_.corpusIds()) {
             CorpusInfo info;
             info.id = id;
-            info.open = manager_->isOpen(id);
+            info.open = manager_.isOpen(id);
             if (info.open) {
                 // Listing must not page in cold corpora; run counts
                 // come from the open ones only.
-                const service::CorpusHandle handle = manager_->open(id);
+                const service::CorpusHandle handle = manager_.open(id);
                 if (handle != nullptr)
                     info.runs = handle->store.size();
             }
@@ -859,8 +822,8 @@ WireServer::executeManager(const Work &work, std::string *payload)
         if (metric.empty())
             metric = prof::metric_names::kGpuTime;
         const std::optional<std::vector<service::KernelAggregate>> top =
-            manager_->federatedTopKernels(corpora, k, filter, metric,
-                                          &error);
+            manager_.federatedTopKernels(corpora, k, filter, metric,
+                                         &error);
         if (!top.has_value())
             return failed();
         std::vector<KernelRow> rows;
@@ -882,7 +845,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
             return Status::kBadRequest;
         }
         const std::shared_ptr<const prof::ProfileDb> merged =
-            manager_->federatedMerged(corpora, filter, &error);
+            manager_.federatedMerged(corpora, filter, &error);
         if (merged == nullptr)
             return failed();
         *payload = merged->serialize();
@@ -897,8 +860,8 @@ WireServer::executeManager(const Work &work, std::string *payload)
             return Status::kBadRequest;
         }
         const std::optional<analysis::ProfileComparison> diff =
-            manager_->federatedDiff(corpora_a, corpora_b, filter,
-                                    &error);
+            manager_.federatedDiff(corpora_a, corpora_b, filter,
+                                   &error);
         if (!diff.has_value())
             return failed();
         const auto label = [](const std::vector<std::string> &ids) {
@@ -922,7 +885,7 @@ WireServer::executeManager(const Work &work, std::string *payload)
         gui::FlameGraphOptions options;
         if (!metric.empty())
             options.metric = metric;
-        std::string html = manager_->federatedFlameHtml(
+        std::string html = manager_.federatedFlameHtml(
             "federated warehouse", corpora, filter, options, &error);
         if (html.empty())
             return failed();
@@ -937,11 +900,10 @@ WireServer::executeManager(const Work &work, std::string *payload)
 }
 
 Status
-WireServer::executeIngest(const Target &target,
+WireServer::executeIngest(service::ProfileStore &store,
                           std::string_view op_payload,
                           std::uint16_t flags, std::string *payload)
 {
-    service::ProfileStore &store = *target.store;
     std::string run_id, text;
     if (!decodeIngestRequest(op_payload, &run_id, &text)) {
         *payload = "bad ingest payload";
@@ -971,11 +933,11 @@ WireServer::executeIngest(const Target &target,
 }
 
 std::string
-WireServer::statsPayload(const Target &target)
+WireServer::statsPayload(const service::Corpus &corpus)
 {
-    const service::StoreStats store = target.store->stats();
+    const service::StoreStats store = corpus.store.stats();
     const service::CorpusView::Stats view =
-        target.engine->corpusView().stats();
+        corpus.engine.corpusView().stats();
     ServerStats server = stats();
     std::string out;
     const auto put = [&out](std::string_view key, std::uint64_t value) {
@@ -984,12 +946,12 @@ WireServer::statsPayload(const Target &target)
         out += std::to_string(value);
         out += '\n';
     };
-    put("store.runs", target.store->size());
+    put("store.runs", corpus.store.size());
     put("store.ingested", store.ingested);
     put("store.failed", store.failed);
     put("store.recovered", store.recovered);
     put("store.interned_bytes", store.interned_bytes);
-    put("store.log_healthy", target.store->logHealthy() ? 1 : 0);
+    put("store.log_healthy", corpus.store.logHealthy() ? 1 : 0);
     put("store.log_appends", store.log_appends);
     put("store.log_append_failures", store.log_append_failures);
     put("store.log_fsyncs", store.log_fsyncs);
@@ -1048,32 +1010,30 @@ WireServer::statsPayload(const Target &target)
         put_hist("exec.run_us", "exec.run_us");
         put_hist("exec.queue_depth", "exec.queue_depth");
     }
-    if (manager_ != nullptr) {
-        // Manager-level counters, then one labeled line set per open
-        // corpus — the per-corpus breakdown obs counters cannot carry
-        // (the registry's name set is fixed; corpus ids are not).
-        const service::ManagerStats mgr = manager_->stats();
-        put("manager.open_corpora", mgr.open_corpora);
-        put("manager.open_interned_bytes", mgr.open_interned_bytes);
-        put("manager.created", mgr.created);
-        put("manager.opened", mgr.opened);
-        put("manager.closed", mgr.closed);
-        put("manager.lru_closed", mgr.lru_closed);
-        put("manager.dropped", mgr.dropped);
-        put("manager.drain_waits", mgr.drain_waits);
-        put("manager.federated", mgr.federated);
-        for (const std::string &id : manager_->corpusIds()) {
-            const bool open = manager_->isOpen(id);
-            put("corpus." + id + ".open", open ? 1 : 0);
-            if (!open)
-                continue; // don't page in cold corpora for stats
-            const service::CorpusHandle handle = manager_->open(id);
-            if (handle == nullptr)
-                continue;
-            put("corpus." + id + ".runs", handle->store.size());
-            put("corpus." + id + ".interned_bytes",
-                handle->store.stats().interned_bytes);
-        }
+    // Manager-level counters, then one labeled line set per open
+    // corpus — the per-corpus breakdown obs counters cannot carry (the
+    // registry's name set is fixed; corpus ids are not).
+    const service::ManagerStats mgr = manager_.stats();
+    put("manager.open_corpora", mgr.open_corpora);
+    put("manager.open_interned_bytes", mgr.open_interned_bytes);
+    put("manager.created", mgr.created);
+    put("manager.opened", mgr.opened);
+    put("manager.closed", mgr.closed);
+    put("manager.lru_closed", mgr.lru_closed);
+    put("manager.dropped", mgr.dropped);
+    put("manager.drain_waits", mgr.drain_waits);
+    put("manager.federated", mgr.federated);
+    for (const std::string &id : manager_.corpusIds()) {
+        const bool open = manager_.isOpen(id);
+        put("corpus." + id + ".open", open ? 1 : 0);
+        if (!open)
+            continue; // don't page in cold corpora for stats
+        const service::CorpusHandle handle = manager_.open(id);
+        if (handle == nullptr)
+            continue;
+        put("corpus." + id + ".runs", handle->store.size());
+        put("corpus." + id + ".interned_bytes",
+            handle->store.stats().interned_bytes);
     }
     return out;
 }

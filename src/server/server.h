@@ -3,7 +3,7 @@
 /**
  * @file
  * The warehouse's wire front end: a POSIX socket listener serving the
- * framed protocol (wire.h) over a ProfileStore + QueryEngine.
+ * framed protocol (wire.h) over a WarehouseManager's corpora.
  *
  * Threading model — one epoll I/O thread plus a small worker pool:
  *
@@ -21,8 +21,8 @@
  *    on, never a silently growing queue. Admitted requests go to a
  *    bounded work queue drained by the worker threads.
  *
- *  - Workers execute requests against the store/engine. A request
- *    whose frame carried deadline_ms gets a service::ScopedDeadline
+ *  - Workers execute requests against the addressed corpus. A request
+ *    whose frame carried deadline_ms gets a common::ScopedDeadline
  *    for its execution: the query path's cold rebuilds poll the token
  *    and abandon work past the deadline, and any request observed past
  *    its deadline is answered DEADLINE_EXCEEDED (note: for mutations
@@ -38,22 +38,19 @@
  *
  * Graceful drain (drain(), or SIGTERM in tool_warehouse_server): stop
  * accepting, answer new frames SHUTTING_DOWN, let in-flight requests
- * finish (bounded by drain_timeout_ms), drain the store's ingestion
- * queue so every acked run reaches the WAL, flush outboxes, then shut
- * down. Failpoint sites srv.accept / srv.read / srv.write /
+ * finish (bounded by drain_timeout_ms), drain every open corpus's
+ * ingestion queue so every acked run reaches the WAL, flush outboxes,
+ * then shut down. Failpoint sites srv.accept / srv.read / srv.write /
  * srv.frame.decode cover every socket edge so the fault-injection
  * machinery can torture connections deterministically.
  *
- * **Serving modes.** A server fronts either one store + engine (the
- * legacy single-corpus constructor) or a WarehouseManager (the
- * multi-corpus constructor). In manager mode every single-corpus
- * request is routed by its v2 corpus prefix — a v1 frame (or an empty
- * corpus id) addresses ServerOptions::default_corpus, auto-created on
- * first touch so old clients keep working — and the corpus-lifecycle
- * and federated opcodes come alive. A request holds its corpus's
- * refcounted handle for the duration of execution, so a concurrent
- * close/LRU-evict/drop drains behind in-flight queries instead of
- * racing them.
+ * **Corpus routing.** Every single-corpus request is routed by its
+ * corpus prefix (wire.h); an empty corpus id addresses kDefaultCorpus,
+ * created on first touch so a client that never names a corpus needs
+ * no setup. Corpus-lifecycle and federated opcodes go to the manager.
+ * A request holds its corpus's refcounted handle for the duration of
+ * execution, so a concurrent close/LRU-evict/drop drains behind
+ * in-flight queries instead of racing them.
  */
 
 #include <atomic>
@@ -67,13 +64,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "server/wire.h"
-#include "service/deadline.h"
 #include "service/profile_store.h"
-#include "service/query_engine.h"
 #include "service/warehouse_manager.h"
 
 namespace dc::server {
+
+/** Corpus an unscoped request (empty corpus id) addresses. */
+inline constexpr char kDefaultCorpus[] = "default";
 
 /** Tuning and robustness bounds for a WireServer. */
 struct ServerOptions {
@@ -103,10 +102,6 @@ struct ServerOptions {
     /// drain(): how long to wait for in-flight requests and unflushed
     /// outboxes before giving up and shedding them.
     std::uint64_t drain_timeout_ms = 5'000;
-    /// Corpus a request without a corpus id (v1 frames, empty v2
-    /// prefix) addresses. In manager mode it is created on first
-    /// touch; in single-corpus mode it aliases the one store.
-    std::string default_corpus = "default";
 };
 
 /** Monotonic server counters (see also the server.* obs metrics). */
@@ -131,19 +126,9 @@ class WireServer
 {
   public:
     /**
-     * Single-corpus server: @p store is the mutation target
-     * (ingest/erase); @p engine the query frontend over it. Both must
-     * outlive the server. Corpus-lifecycle and federated opcodes
-     * answer BAD_REQUEST in this mode.
-     */
-    WireServer(service::ProfileStore &store,
-               const service::QueryEngine &engine,
-               ServerOptions options = {});
-    /**
-     * Multi-corpus server over @p manager (must outlive the server):
-     * requests route by their corpus prefix, lifecycle + federated
-     * opcodes are served, and ServerOptions::default_corpus is
-     * auto-created for v1 peers.
+     * Server over @p manager (must outlive the server): requests route
+     * by their corpus prefix, and kDefaultCorpus is created on first
+     * touch.
      */
     explicit WireServer(service::WarehouseManager &manager,
                         ServerOptions options = {});
@@ -161,7 +146,7 @@ class WireServer
     /**
      * Graceful drain: stop accepting, shed new frames with
      * SHUTTING_DOWN, wait (bounded) for in-flight requests, drain the
-     * store's ingestion queue so acked runs are WAL-durable, flush
+     * corpora's ingestion queues so acked runs are WAL-durable, flush
      * outboxes, then stop the threads. Idempotent.
      */
     void drain();
@@ -194,7 +179,7 @@ class WireServer
     struct Work {
         std::shared_ptr<Conn> conn;
         Frame frame;
-        service::Deadline deadline;
+        common::Deadline deadline;
     };
 
     void ioLoop();
@@ -218,32 +203,24 @@ class WireServer
     /// Arm/disarm EPOLLOUT for @p conn (I/O thread).
     void updateEpoll(const std::shared_ptr<Conn> &conn);
 
-    /// The store/engine one request executes against. `handle` pins a
-    /// managed corpus for the request's duration: a concurrent
-    /// close/evict/drop waits for it to drop (warehouse_manager.h).
-    struct Target {
-        service::ProfileStore *store = nullptr;
-        const service::QueryEngine *engine = nullptr;
-        service::CorpusHandle handle;
-    };
-
-    /// Map a request's corpus id to its target ("" = default corpus).
-    Status resolveTarget(const std::string &corpus_id, Target *target,
-                         std::string *payload);
+    /// Open the corpus @p corpus_id names, creating kDefaultCorpus on
+    /// first touch. The handle pins the corpus for the request's
+    /// duration: a concurrent close/evict/drop waits for it to drop
+    /// (warehouse_manager.h). Null = unknown corpus (@p payload says
+    /// why).
+    service::CorpusHandle resolveCorpus(const std::string &corpus_id,
+                                        std::string *payload);
 
     /// Execute one admitted request; fills status + response payload.
     Status execute(const Work &work, std::string *payload);
-    Status executeIngest(const Target &target,
+    Status executeIngest(service::ProfileStore &store,
                          std::string_view op_payload,
                          std::uint16_t flags, std::string *payload);
-    /// Corpus-lifecycle and federated opcodes (manager mode only).
+    /// Corpus-lifecycle and federated opcodes.
     Status executeManager(const Work &work, std::string *payload);
-    std::string statsPayload(const Target &target);
+    std::string statsPayload(const service::Corpus &corpus);
 
-    /// Exactly one of manager_ or (store_, engine_) is set.
-    service::WarehouseManager *manager_ = nullptr;
-    service::ProfileStore *store_ = nullptr;
-    const service::QueryEngine *engine_ = nullptr;
+    service::WarehouseManager &manager_;
     ServerOptions options_;
 
     int listen_fd_ = -1;

@@ -98,12 +98,12 @@ wireChecksum(std::string_view header_no_sum, std::string_view payload)
 std::string
 encodeFrame(std::uint8_t kind, std::uint16_t flags,
             std::uint64_t request_id, std::uint32_t deadline_ms,
-            std::string_view payload, std::uint8_t version)
+            std::string_view payload)
 {
     std::string frame;
     frame.reserve(kFrameHeaderSize + payload.size());
     putU32(frame, kWireMagic);
-    frame.push_back(static_cast<char>(version));
+    frame.push_back(static_cast<char>(kWireVersion));
     frame.push_back(static_cast<char>(kind));
     putU16(frame, flags);
     putU64(frame, request_id);
@@ -131,11 +131,8 @@ decodeFrame(std::string_view buf, std::uint64_t max_payload, Frame *out,
     // not after feeding us a header's worth.
     if (buf.size() >= 4 && getU32(buf.data()) != kWireMagic)
         return bad("bad magic");
-    if (buf.size() >= 5) {
-        const std::uint8_t version = static_cast<std::uint8_t>(buf[4]);
-        if (version < kMinWireVersion || version > kWireVersion)
-            return bad("unsupported version");
-    }
+    if (buf.size() >= 5 && static_cast<std::uint8_t>(buf[4]) != kWireVersion)
+        return bad("unsupported version");
     if (buf.size() < kFrameHeaderSize)
         return DecodeResult::kNeedMore;
 
@@ -154,7 +151,6 @@ decodeFrame(std::string_view buf, std::uint64_t max_payload, Frame *out,
     if (wireChecksum(header_no_sum, payload) != want_sum)
         return bad("checksum mismatch");
 
-    out->version = static_cast<std::uint8_t>(buf[4]);
     out->kind = static_cast<std::uint8_t>(buf[5]);
     out->flags = getU16(buf.data() + 6);
     out->request_id = getU64(buf.data() + 8);
@@ -423,23 +419,16 @@ encodeCorpusScoped(const std::string &corpus_id,
 }
 
 bool
-splitCorpusScoped(const Frame &frame, std::string *corpus_id,
+splitCorpusScoped(std::string_view payload, std::string *corpus_id,
                   std::string_view *op_payload)
 {
-    if (frame.version < 2) {
-        // v1 peers predate corpus addressing: whole payload, default
-        // corpus.
-        corpus_id->clear();
-        *op_payload = frame.payload;
-        return true;
-    }
-    if (frame.payload.size() < 4)
+    if (payload.size() < 4)
         return false;
-    const std::uint32_t len = getU32(frame.payload.data());
-    if (len > frame.payload.size() - 4)
+    const std::uint32_t len = getU32(payload.data());
+    if (len > payload.size() - 4)
         return false;
-    corpus_id->assign(frame.payload.data() + 4, len);
-    *op_payload = std::string_view(frame.payload).substr(4 + len);
+    corpus_id->assign(payload.data() + 4, len);
+    *op_payload = payload.substr(4 + len);
     return true;
 }
 

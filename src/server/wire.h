@@ -8,7 +8,7 @@
  *
  *     offset  size  field
  *     0       4     magic        0xDC50F11E, little-endian
- *     4       1     version      1 or 2 (see below)
+ *     4       1     version      kWireVersion (2)
  *     5       1     kind         request Opcode or response Status
  *     6       2     flags        Opcode-specific bits (kFlagDurable)
  *     8       8     request_id   caller-chosen, echoed in the response
@@ -36,19 +36,20 @@
  * to be dropped — after a framing error the stream offset can no
  * longer be trusted.
  *
- * **Version 2 — corpus addressing.** The warehouse serves many corpora
- * (service/warehouse_manager.h); v2 threads the corpus id through the
- * protocol while staying backward-compatible with v1 peers:
+ * One version decodes: kWireVersion. The server and the client library
+ * ship together, so there is no older peer to keep serving; any other
+ * version byte fails the frame at byte 5.
  *
- *  - A v2 frame carrying a single-corpus opcode (kIngest..kStats)
+ * **Corpus addressing.** The warehouse serves many corpora
+ * (service/warehouse_manager.h), so the protocol carries a corpus id:
+ *
+ *  - A frame carrying a single-corpus opcode (kIngest..kStats)
  *    prefixes its payload with one length-prefixed corpus-id string
  *    (encodeCorpusScoped / splitCorpusScoped); an empty id means the
  *    server's default corpus. kPing payloads stay raw.
- *  - A v1 frame is still accepted and addresses the default corpus —
- *    old clients keep working unchanged.
- *  - New opcodes (corpus lifecycle kCorpusCreate..kCorpusList and the
- *    federated queries kFederatedTopKernels..kFederatedFlame) carry
- *    version-independent payloads encoded by the codecs below.
+ *  - Corpus lifecycle (kCorpusCreate..kCorpusList) and federated
+ *    queries (kFederatedTopKernels..kFederatedFlame) carry the payloads
+ *    encoded by the codecs below.
  */
 
 #include <cstdint>
@@ -62,8 +63,6 @@ namespace dc::server {
 
 inline constexpr std::uint32_t kWireMagic = 0xDC50F11Eu;
 inline constexpr std::uint8_t kWireVersion = 2;
-/// Oldest version still accepted (v1 = single-corpus payloads).
-inline constexpr std::uint8_t kMinWireVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 32;
 /// Default receiver-side payload bound (see decodeFrame).
 inline constexpr std::uint64_t kDefaultMaxPayload = 64ull << 20;
@@ -78,13 +77,13 @@ enum class Opcode : std::uint8_t {
     kDiff = 6,       ///< run_a, run_b ("" = vs corpus), filter -> text.
     kFlameGraph = 7, ///< filter, metric -> self-contained HTML.
     kStats = 8,      ///< "" -> key=value lines.
-    // v2 corpus lifecycle (payload: one corpus-id string).
+    // Corpus lifecycle (payload: one corpus-id string).
     kCorpusCreate = 9,  ///< Create + open a corpus.
     kCorpusOpen = 10,   ///< Open (replay) an existing corpus.
     kCorpusClose = 11,  ///< Remove from the open set (data survives).
     kCorpusDrop = 12,   ///< Delete the corpus and its data.
     kCorpusList = 13,   ///< "" -> CorpusInfo rows.
-    // v2 federated queries spanning a set of corpora.
+    // Federated queries spanning a set of corpora.
     kFederatedTopKernels = 14, ///< ids, k, metric, filter -> rows.
     kFederatedMerged = 15,     ///< ids, filter -> serialized profile.
     kFederatedDiff = 16,       ///< ids_a, ids_b, filter -> text.
@@ -115,9 +114,6 @@ std::uint64_t wireChecksum(std::string_view header_no_sum,
 
 /** One decoded frame. */
 struct Frame {
-    /// Protocol version the sender spoke (kMinWireVersion..
-    /// kWireVersion); v1 single-corpus payloads carry no corpus id.
-    std::uint8_t version = kWireVersion;
     std::uint8_t kind = 0;
     std::uint16_t flags = 0;
     std::uint64_t request_id = 0;
@@ -132,8 +128,7 @@ struct Frame {
 std::string encodeFrame(std::uint8_t kind, std::uint16_t flags,
                         std::uint64_t request_id,
                         std::uint32_t deadline_ms,
-                        std::string_view payload,
-                        std::uint8_t version = kWireVersion);
+                        std::string_view payload);
 
 /** decodeFrame outcome. */
 enum class DecodeResult {
@@ -239,22 +234,21 @@ std::string encodeFlameRequest(const std::string &metric,
 bool decodeFlameRequest(std::string_view payload, std::string *metric,
                         service::QueryFilter *filter);
 
-// ------------------------------------------- v2 corpus addressing
+// ---------------------------------------------- corpus addressing
 
 /**
- * Prefix @p op_payload with the corpus id a v2 single-corpus frame
+ * Prefix @p op_payload with the corpus id a single-corpus frame
  * (kIngest..kStats) addresses ("" = the server's default corpus).
  */
 std::string encodeCorpusScoped(const std::string &corpus_id,
                                std::string_view op_payload);
 
 /**
- * Split a single-corpus frame's payload into the addressed corpus and
- * the opcode payload. v1 frames address the default corpus ("") with
- * their whole payload; v2 frames carry the encodeCorpusScoped prefix.
- * False = malformed prefix (treat as a bad request).
+ * Split a single-corpus frame's @p payload (encodeCorpusScoped) into
+ * the addressed corpus and the opcode payload, which views into
+ * @p payload. False = malformed prefix (treat as a bad request).
  */
-bool splitCorpusScoped(const Frame &frame, std::string *corpus_id,
+bool splitCorpusScoped(std::string_view payload, std::string *corpus_id,
                        std::string_view *op_payload);
 
 /** Corpus lifecycle request (create/open/close/drop): one id. */

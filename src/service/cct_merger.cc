@@ -116,7 +116,7 @@ std::unique_ptr<prof::ProfileDb>
 CctMerger::mergeAllPrevalidated(
     const std::vector<const prof::ProfileDb *> &profiles,
     const std::vector<std::string> &run_ids, std::size_t workers,
-    std::size_t grain, const Deadline *deadline,
+    std::size_t grain, const common::Deadline *deadline,
     common::Executor *executor)
 {
     DC_CHECK(profiles.size() == run_ids.size(),
@@ -167,7 +167,7 @@ CctMerger::mergeAllPrevalidated(
     // per-chunk cost is dominated by the colliding merges — the work
     // the reduction spreads across cores.
     common::TaskGroup group(
-        exec, deadline != nullptr ? *deadline : Deadline{});
+        exec, deadline != nullptr ? *deadline : common::Deadline{});
     for (std::size_t c = 0; c < chunks; ++c) {
         group.submit([&, c] {
             Partial &partial = partials[c];

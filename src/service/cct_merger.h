@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.h"
 #include "profiler/profile_db.h"
-#include "service/deadline.h"
 
 namespace dc::common {
 class Executor;
@@ -116,7 +116,7 @@ class CctMerger
     static std::unique_ptr<prof::ProfileDb> mergeAllPrevalidated(
         const std::vector<const prof::ProfileDb *> &profiles,
         const std::vector<std::string> &run_ids, std::size_t workers = 0,
-        std::size_t grain = 4, const Deadline *deadline = nullptr,
+        std::size_t grain = 4, const common::Deadline *deadline = nullptr,
         common::Executor *executor = nullptr);
 
   private:

@@ -4,13 +4,13 @@
 #include <functional>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/executor.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "obs/lock_wait.h"
 #include "obs/trace_span.h"
 #include "service/cct_merger.h"
-#include "service/deadline.h"
 
 namespace dc::service {
 
@@ -275,7 +275,7 @@ CorpusView::buildFull(const QueryFilter &filter,
     // The caller's deadline token (unset outside a server request).
     // Pool workers cannot see the thread-local, so it crosses by
     // pointer (the merge) and via TaskGroup (the aggregation below).
-    const Deadline deadline = ScopedDeadline::current();
+    const common::Deadline deadline = common::ScopedDeadline::current();
     common::Executor &exec = executor();
     auto view = std::make_shared<View>();
     view->db = CctMerger::mergeAllPrevalidated(
@@ -365,7 +365,7 @@ CorpusView::buildIncremental(
     std::map<std::string, std::string> metadata = base.db->metadata();
     metadata.erase("merged_runs"); // recomputed below
 
-    const Deadline deadline = ScopedDeadline::current();
+    const common::Deadline deadline = common::ScopedDeadline::current();
     for (const auto &[run_id, profile] : fresh) {
         (void)run_id;
         if (deadline.expired())

@@ -155,7 +155,7 @@ class CorpusView
      * build, everyone shares it) while distinct signatures proceed
      * independently.
      *
-     * Honors the calling thread's ScopedDeadline (deadline.h): a
+     * Honors the calling thread's ScopedDeadline (common/deadline.h): a
      * rebuild or refresh that outlives the deadline is abandoned and
      * acquire returns nullptr — the partial result is never cached,
      * and any previously cached view stays untouched for callers

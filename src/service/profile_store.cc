@@ -829,6 +829,9 @@ ProfileStore::attemptReattach()
 {
     if (log_ == nullptr)
         return false;
+    // One attempt at a time; a caller that waited here finds the runs
+    // its predecessor re-appended gone from unlogged_.
+    std::lock_guard<std::mutex> single(reattach_attempt_mutex_);
     std::vector<std::string> pending;
     {
         std::lock_guard<std::mutex> lock(queue_mutex_);

@@ -545,6 +545,10 @@ class ProfileStore
     // Re-attach supervisor (started only for durable stores).
     std::thread reattach_thread_;
     mutable std::mutex reattach_mutex_; ///< stats() reads the schedule.
+    /// Held across a whole attemptReattach(): the supervisor and
+    /// tryReattachNow() must not both re-append the same unlogged run
+    /// (a duplicate WAL record) and both count the re-attach.
+    std::mutex reattach_attempt_mutex_;
     std::condition_variable reattach_cv_;
     bool reattach_stop_ = false;
     bool reattach_kick_ = false;

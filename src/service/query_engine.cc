@@ -107,7 +107,7 @@ QueryEngine::merged(const QueryFilter &filter) const
     const std::shared_ptr<const CorpusView::View> view =
         view_.acquire(filter);
     // Null only when the calling thread's deadline expired mid-build
-    // (deadline.h); plain callers always get a view.
+    // (common/deadline.h); plain callers always get a view.
     return view != nullptr ? view->db : nullptr;
 }
 

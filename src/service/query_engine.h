@@ -91,7 +91,7 @@ class QueryEngine
      * materialized view's tree, shared with concurrent readers (hence
      * const). Holding the pointer keeps that view's merge alive
      * regardless of later ingestion. Null only when the calling
-     * thread's ScopedDeadline (deadline.h) expired mid-rebuild.
+     * thread's ScopedDeadline (common/deadline.h) expired mid-rebuild.
      */
     std::shared_ptr<const prof::ProfileDb>
     merged(const QueryFilter &filter = {}) const;

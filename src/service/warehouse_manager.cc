@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "common/deadline.h"
 #include "common/executor.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
@@ -13,7 +14,6 @@
 #include "common/strings.h"
 #include "obs/metrics_registry.h"
 #include "service/cct_merger.h"
-#include "service/deadline.h"
 
 namespace dc::service {
 
@@ -587,7 +587,7 @@ WarehouseManager::federatedTopKernels(
             return std::nullopt;
         }
     }
-    if (group.cancelled() || deadlineExpired()) {
+    if (group.cancelled() || common::deadlineExpired()) {
         setError(error, "deadline expired mid-federation");
         return std::nullopt;
     }
@@ -669,7 +669,7 @@ WarehouseManager::federatedMerged(const std::vector<std::string> &corpora,
             return nullptr;
         }
     }
-    if (group.cancelled() || deadlineExpired()) {
+    if (group.cancelled() || common::deadlineExpired()) {
         setError(error, "deadline expired mid-federation");
         return nullptr;
     }

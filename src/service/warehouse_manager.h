@@ -40,7 +40,7 @@
  *    intern through *different* StringTables, so the gather leg goes
  *    through CctMerger's cross-table NameTranslator path (and the
  *    aggregate gather unifies kernels by name). The calling thread's
- *    ScopedDeadline (deadline.h) propagates into every leg via the
+ *    ScopedDeadline (common/deadline.h) propagates into every leg via the
  *    TaskGroup: cold rebuilds poll it, legs not yet started are
  *    skipped once it expires, and the gather re-checks it — an
  *    expired deadline abandons the query within a bounded grace

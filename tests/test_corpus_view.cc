@@ -11,11 +11,11 @@
 #include <cmath>
 #include <thread>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "common/string_table.h"
 #include "service/cct_merger.h"
 #include "service/corpus_view.h"
-#include "service/deadline.h"
 #include "service/profile_store.h"
 #include "service/query_engine.h"
 
@@ -277,7 +277,7 @@ TEST(CorpusView, AbandonedPooledRebuildNeverCached)
 
     service::CorpusView view(store);
     {
-        service::ScopedDeadline expired(service::Deadline::after(0));
+        common::ScopedDeadline expired(common::Deadline::after(0));
         EXPECT_EQ(view.acquire({}), nullptr)
             << "an expired deadline must abandon the pooled rebuild";
     }
@@ -464,8 +464,9 @@ TEST(CorpusView, ConcurrentQueriesDuringIngestAndInvalidation)
                 filter.framework = "PyTorch";
             while (!stop.load()) {
                 const auto top = engine.topKernels(5, filter);
-                if (!top.empty())
+                if (!top.empty()) {
                     EXPECT_GT(top.front().total, 0.0);
+                }
                 const auto merged = engine.merged(filter);
                 EXPECT_NE(merged, nullptr);
                 (void)engine.runIds(filter);

@@ -39,15 +39,6 @@ struct Fixture {
     }
 };
 
-std::vector<FrameKind>
-kinds(const CallPath &path)
-{
-    std::vector<FrameKind> out;
-    for (const Frame &frame : path)
-        out.push_back(frame.kind);
-    return out;
-}
-
 TEST(Frame, LocationEqualityRules)
 {
     // Python frames: file + line (the function name is not part of it).

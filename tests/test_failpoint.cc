@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -253,6 +254,46 @@ TEST(Failpoint, AppendEnospcDegradesStoreAndReattachRestoresDurability)
     ProfileStore recovered(options);
     EXPECT_EQ(recovered.runIds(), (std::vector<std::string>{
                                       "durable-0", "memory-1"}));
+}
+
+TEST(Failpoint, ConcurrentReattachReappendsEachRunOnce)
+{
+    FailpointGuard guard;
+    const std::string dir = freshDir("fp_concurrent_reattach");
+    ProfileStore::Options options;
+    options.workers = 1;
+    options.data_dir = dir;
+    // Park the supervisor after its failed attempts so the two callers
+    // below are what races.
+    options.log_reattach_min_backoff_ms = 60'000;
+    options.log_reattach_max_backoff_ms = 60'000;
+    ProfileStore store(options);
+    ASSERT_TRUE(failpoint::set("wal.append.write", "enospc"));
+    for (int i = 0; i < 3; ++i)
+        store.ingest("unlogged-" + std::to_string(i), makeProfile(i));
+    store.waitIdle();
+    const service::StoreStats degraded = store.stats();
+    ASSERT_EQ(degraded.log_unlogged_runs, 3u);
+
+    // Slow appends make the two attempts overlap: each must not copy
+    // the same unlogged set and re-append it.
+    ASSERT_TRUE(failpoint::set("wal.append.write", "delay(50)"));
+    std::atomic<int> healthy{0};
+    std::vector<std::thread> callers;
+    for (int i = 0; i < 2; ++i) {
+        callers.emplace_back([&] {
+            if (store.tryReattachNow())
+                healthy.fetch_add(1);
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    const service::StoreStats after = store.stats();
+    EXPECT_EQ(healthy.load(), 2);
+    EXPECT_EQ(after.log_reattached, 1u);
+    EXPECT_EQ(after.log_appends,
+              degraded.log_appends + degraded.log_unlogged_runs);
+    EXPECT_EQ(after.log_unlogged_runs, 0u);
 }
 
 TEST(Failpoint, GroupCommitFsyncFailureDegradesAndRecovers)

@@ -48,8 +48,9 @@ TEST(HistBuckets, ExactBelowEightAndBoundedErrorAbove)
         const std::size_t idx = histBucket(v);
         ASSERT_LT(idx, kHistBuckets);
         EXPECT_LE(histBucketLower(idx), v);
-        if (idx + 1 < kHistBuckets && v != ~0ull)
+        if (idx + 1 < kHistBuckets && v != ~0ull) {
             EXPECT_GT(histBucketLower(idx + 1), v);
+        }
         const double mid = static_cast<double>(histBucketMid(idx));
         EXPECT_LE(std::abs(mid - static_cast<double>(v)),
                   0.125 * static_cast<double>(v));
@@ -256,7 +257,7 @@ TEST(TraceSpans, SlowOpLogThresholdAndRateLimit)
         // A real (tiny) duration so duration >= 1ns holds.
         volatile int sink = 0;
         for (int j = 0; j < 100; ++j)
-            sink += j;
+            sink = sink + j;
     }
     const MetricsSnapshot after = MetricsRegistry::global().snapshot();
     const std::uint64_t emitted =
@@ -306,7 +307,7 @@ TEST(SelfProfile, RoundTripsThroughWarehouseQueries)
             ObsSpan child(parse);
             volatile int sink = 0;
             for (int j = 0; j < 1000; ++j)
-                sink += j;
+                sink = sink + j;
         }
     }
     { ObsSpan span(query); }

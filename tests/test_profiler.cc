@@ -328,82 +328,118 @@ TEST(ProfileDb, RoundTripMultiMetricNodes)
     EXPECT_EQ(loaded->serialize(), db.serialize());
 }
 
+/**
+ * One malformed input. `label` is what the case prints as, so its test
+ * name is stable: a pair of C strings prints its pointer values, which
+ * address-space randomization changes on every run.
+ */
+struct MalformedCase
+{
+    const char *label;
+    const char *text;
+    const char *expected_error;
+};
+
+void PrintTo(const MalformedCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 /** Malformed inputs are rejected with a diagnostic, not UB. */
-class ProfileDbMalformed
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>>
+class ProfileDbMalformed : public ::testing::TestWithParam<MalformedCase>
 {
 };
 
 TEST_P(ProfileDbMalformed, TryDeserializeRejects)
 {
-    const auto &[text, expected_error] = GetParam();
+    const MalformedCase &c = GetParam();
     std::string error;
-    EXPECT_EQ(ProfileDb::tryDeserialize(text, &error), nullptr);
-    EXPECT_NE(error.find(expected_error), std::string::npos)
+    EXPECT_EQ(ProfileDb::tryDeserialize(c.text, &error), nullptr);
+    EXPECT_NE(error.find(c.expected_error), std::string::npos)
         << "error was: " << error;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Corrupt, ProfileDbMalformed,
     ::testing::Values(
-        std::pair("not a profile", "bad profile header"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\tx\t0"
-                  "\tn\t-1\n",
-                  "non-numeric line"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
-                  "\tn\t-1\nnode\t1\t7\t1\tf\tg\t0\t0\tn\t-1\n",
-                  "dangling parent id 7"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
-                  "\tn\t-1\nnode\t0\t0\t1\tf\tg\t0\t0\tn\t-1\n",
-                  "duplicate node id 0"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
-                  "\tn\t-1\nnode\t1\t-1\t1\tf\tg\t0\t0\tn\t-1\n",
-                  "only the first node may be the root"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t99\tf\tg\t0\t0"
-                  "\tn\t-1\n",
-                  "bad frame kind 99"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\n",
-                  "truncated node record"),
-        std::pair("# deepcontext profile v1\nmeta\tkey\n",
-                  "malformed meta record"),
-        std::pair("# deepcontext profile v1\nmeta\tcmd\tpython\t--lr\n",
-                  "malformed meta record"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\textra\n",
-                  "malformed metric record"),
-        std::pair("# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
-                  "\tn\t-1\tm:0:1:2:3:4:5:6\n",
-                  "metric id 0 not in the metric table"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:xx:2:3:4:5:6\n",
-                  "non-numeric metric count"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:5:1:23:3:4:5:6\n",
-                  "malformed metric entry"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:2:10:1:9:5:-1e300\n",
-                  "inconsistent metric stat"), // negative m2
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:2:10:9:1:5:0\n",
-                  "inconsistent metric stat"), // min > max
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1"
-                  "\tm:0:1:1e308:1e308:1e308:1e308:0\n",
-                  // Finite but extreme: would overflow a later
-                  // parallel-Welford merge to inf.
-                  "inconsistent metric stat"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:0:10:0:0:0:0\n",
-                  "nonzero metric fields with count 0"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
-                  "\tf\tg\t0\t0\tn\t-1\tm:0:1:10:10:10:10:0"
-                  "\tm:0:1:99:99:99:99:0\n",
-                  "duplicate metric id 0"),
-        std::pair("# deepcontext profile v1\nmetric\tgpu\nmetric\tgpu\n"
-                  "metric\tmem\n",
-                  "duplicate metric name 'gpu'"),
-        std::pair("# deepcontext profile v1\nmeta\tframework\tPyTorch\n"
-                  "meta\tframework\tJAX\n",
-                  "duplicate meta key 'framework'")));
+        MalformedCase{"BadHeader",
+                      "not a profile", "bad profile header"},
+        MalformedCase{"NonNumericLine",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\tx\t0"
+                      "\tn\t-1\n",
+                      "non-numeric line"},
+        MalformedCase{"DanglingParent",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
+                      "\tn\t-1\nnode\t1\t7\t1\tf\tg\t0\t0\tn\t-1\n",
+                      "dangling parent id 7"},
+        MalformedCase{"DuplicateNodeId",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
+                      "\tn\t-1\nnode\t0\t0\t1\tf\tg\t0\t0\tn\t-1\n",
+                      "duplicate node id 0"},
+        MalformedCase{"SecondRoot",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
+                      "\tn\t-1\nnode\t1\t-1\t1\tf\tg\t0\t0\tn\t-1\n",
+                      "only the first node may be the root"},
+        MalformedCase{"BadFrameKind",
+                      "# deepcontext profile v1\nnode\t0\t-1\t99\tf\tg\t0\t0"
+                      "\tn\t-1\n",
+                      "bad frame kind 99"},
+        MalformedCase{"TruncatedNode",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\n",
+                      "truncated node record"},
+        MalformedCase{"MetaMissingValue",
+                      "# deepcontext profile v1\nmeta\tkey\n",
+                      "malformed meta record"},
+        MalformedCase{"MetaExtraField",
+                      "# deepcontext profile v1\nmeta\tcmd\tpython\t--lr\n",
+                      "malformed meta record"},
+        MalformedCase{"MetricExtraField",
+                      "# deepcontext profile v1\nmetric\tgpu\textra\n",
+                      "malformed metric record"},
+        MalformedCase{"UnknownMetricId",
+                      "# deepcontext profile v1\nnode\t0\t-1\t1\tf\tg\t0\t0"
+                      "\tn\t-1\tm:0:1:2:3:4:5:6\n",
+                      "metric id 0 not in the metric table"},
+        MalformedCase{"NonNumericMetricCount",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:xx:2:3:4:5:6\n",
+                      "non-numeric metric count"},
+        MalformedCase{"MalformedMetricEntry",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:5:1:23:3:4:5:6\n",
+                      "malformed metric entry"},
+        MalformedCase{"NegativeM2",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:2:10:1:9:5:-1e300\n",
+                      "inconsistent metric stat"}, // negative m2
+        MalformedCase{"MinAboveMax",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:2:10:9:1:5:0\n",
+                      "inconsistent metric stat"}, // min > max
+        MalformedCase{"OverflowingStat",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1"
+                      "\tm:0:1:1e308:1e308:1e308:1e308:0\n",
+                      // Finite but extreme: would overflow a later
+                      // parallel-Welford merge to inf.
+                      "inconsistent metric stat"},
+        MalformedCase{"NonzeroFieldsAtCountZero",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:0:10:0:0:0:0\n",
+                      "nonzero metric fields with count 0"},
+        MalformedCase{"DuplicateMetricId",
+                      "# deepcontext profile v1\nmetric\tgpu\nnode\t0\t-1\t1"
+                      "\tf\tg\t0\t0\tn\t-1\tm:0:1:10:10:10:10:0"
+                      "\tm:0:1:99:99:99:99:0\n",
+                      "duplicate metric id 0"},
+        MalformedCase{"DuplicateMetricName",
+                      "# deepcontext profile v1\nmetric\tgpu\nmetric\tgpu\n"
+                      "metric\tmem\n",
+                      "duplicate metric name 'gpu'"},
+        MalformedCase{"DuplicateMetaKey",
+                      "# deepcontext profile v1\nmeta\tframework\tPyTorch\n"
+                      "meta\tframework\tJAX\n",
+                      "duplicate meta key 'framework'"}));
 
 TEST(ProfileDb, RejectsNonFiniteMetricValues)
 {

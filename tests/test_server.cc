@@ -28,12 +28,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/rng.h"
@@ -42,9 +44,9 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
-#include "service/deadline.h"
 #include "service/profile_store.h"
 #include "service/query_engine.h"
+#include "service/warehouse_manager.h"
 
 namespace dc {
 namespace {
@@ -60,8 +62,10 @@ using server::ServerOptions;
 using server::Status;
 using server::WireClient;
 using server::WireServer;
+using service::CorpusHandle;
 using service::ProfileStore;
 using service::QueryEngine;
+using service::WarehouseManager;
 
 /** Deterministic profile: same salt always yields equal bytes. */
 std::unique_ptr<ProfileDb>
@@ -163,15 +167,20 @@ TEST(WireFrame, BadMagicFailsAtFourBytes)
 
 TEST(WireFrame, BadVersionFailsAtFiveBytes)
 {
-    std::string bytes = server::encodeFrame(
-        static_cast<std::uint8_t>(Opcode::kPing), 0, 9, 0, "abc");
-    bytes[4] = 9; // beyond kWireVersion
-    Frame frame;
-    std::size_t consumed = 0;
-    EXPECT_EQ(server::decodeFrame(std::string_view(bytes).substr(0, 5),
-                                  server::kDefaultMaxPayload, &frame,
-                                  &consumed),
-              DecodeResult::kBad);
+    // Only kWireVersion decodes: older, zero and future versions all
+    // fail as soon as the version byte is readable.
+    for (const int version : {0, 1, 9}) {
+        std::string bytes = server::encodeFrame(
+            static_cast<std::uint8_t>(Opcode::kPing), 0, 9, 0, "abc");
+        bytes[4] = static_cast<char>(version);
+        Frame frame;
+        std::size_t consumed = 0;
+        EXPECT_EQ(server::decodeFrame(std::string_view(bytes).substr(0, 5),
+                                      server::kDefaultMaxPayload, &frame,
+                                      &consumed),
+                  DecodeResult::kBad)
+            << "version " << version;
+    }
 }
 
 /** Patch the payload_len field (offset 20) of an encoded frame. */
@@ -332,20 +341,32 @@ TEST(WireCodec, RequestRoundTrips)
 }
 
 // ================================================================
-// Live server: a WireServer over an in-memory store, driven by the
+// Live server: a WireServer over an in-memory warehouse, driven by the
 // client library.
 // ================================================================
 
-/** Store + engine + server with test-friendly bounds. */
+/**
+ * Volatile manager + server with test-friendly bounds. `corpus` is the
+ * default corpus every unscoped request below addresses.
+ */
 struct Harness {
-    ProfileStore store;
-    QueryEngine engine;
+    WarehouseManager manager;
+    CorpusHandle corpus;
     WireServer server;
 
     explicit Harness(ServerOptions options = testOptions())
-        : store(memOptions()), engine(store),
-          server(store, engine, options)
+        : manager(managerOptions()),
+          corpus(manager.create(server::kDefaultCorpus)),
+          server(manager, options)
     {
+    }
+
+    static WarehouseManager::Options
+    managerOptions()
+    {
+        WarehouseManager::Options options;
+        options.store = memOptions();
+        return options;
     }
 
     static ProfileStore::Options
@@ -436,7 +457,7 @@ TEST(WireServer, IngestQueryRoundTrip)
         8, prof::metric_names::kGpuTime, {}, &rows);
     ASSERT_TRUE(top.ok) << top.error;
     ASSERT_EQ(top.status, Status::kOk);
-    const auto direct = h.engine.topKernels(8);
+    const auto direct = h.corpus->engine.topKernels(8);
     ASSERT_EQ(rows.size(), direct.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         EXPECT_EQ(rows[i].name, direct[i].name);
@@ -453,7 +474,7 @@ TEST(WireServer, IngestQueryRoundTrip)
         ProfileDb::tryDeserialize(merged.payload, &parse_error);
     ASSERT_NE(db, nullptr) << parse_error;
     EXPECT_EQ(db->cct().nodeCount(),
-              h.engine.merged()->cct().nodeCount());
+              h.corpus->engine.merged()->cct().nodeCount());
 
     const WireClient::Result diff = client.diff("run-0", "run-1");
     ASSERT_TRUE(diff.ok) << diff.error;
@@ -708,7 +729,7 @@ TEST(DeadlineQuery, ExpiredDeadlineAbandonsColdRebuildUncached)
     {
         // Already-expired token: the cold rebuild must abandon and
         // report it — and must NOT poison the view cache.
-        service::ScopedDeadline scope(service::Deadline::afterMs(0));
+        common::ScopedDeadline scope(common::Deadline::afterMs(0));
         EXPECT_EQ(engine.merged(), nullptr);
         EXPECT_TRUE(engine.topKernels(8).empty());
         EXPECT_EQ(engine.flameGraph(), nullptr);
@@ -740,7 +761,7 @@ TEST(WireServer, DrainAnswersShuttingDownAndStops)
     h.server.stop();
     EXPECT_FALSE(h.server.running());
     // Drain waited for the store: the acked run is present.
-    EXPECT_NE(h.store.get("run-drain"), nullptr);
+    EXPECT_NE(h.corpus->store.get("run-drain"), nullptr);
 }
 
 TEST(WireServer, ConnectionFailpointTorture)
@@ -773,7 +794,7 @@ TEST(WireServer, ConnectionFailpointTorture)
     // Every acked ingest is really in the store, faults or not.
     EXPECT_GE(acked.size(), 1u) << "torture never succeeded at all";
     for (const std::string &id : acked)
-        EXPECT_NE(h.store.get(id), nullptr) << id;
+        EXPECT_NE(h.corpus->store.get(id), nullptr) << id;
     WireClient fresh = h.client();
     EXPECT_EQ(fresh.ping("alive").status, Status::kOk);
 }
@@ -850,7 +871,7 @@ TEST(ServerSoak, ConcurrentMixedOpsUnderFaults)
     EXPECT_GT(completed.load(), 0);
     EXPECT_GE(acked.size(), 1u) << "soak never landed a durable ack";
     for (const std::string &id : acked)
-        EXPECT_NE(h.store.get(id), nullptr) << id;
+        EXPECT_NE(h.corpus->store.get(id), nullptr) << id;
     WireClient fresh = h.client();
     EXPECT_EQ(fresh.ping("post-soak").status, Status::kOk);
     const server::ServerStats stats = h.server.stats();
@@ -867,11 +888,8 @@ std::string
 freshDir(const std::string &name)
 {
     const std::string dir = ::testing::TempDir() + "/" + name;
-    std::vector<std::string> entries;
-    if (listDir(dir, &entries)) {
-        for (const std::string &entry : entries)
-            removeFile(dir + "/" + entry);
-    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec); // corpus subdirs included
     EXPECT_TRUE(ensureDir(dir));
     return dir;
 }
@@ -937,11 +955,10 @@ TEST(StoreStats, ReattachSupervisorStateIsObservable)
 // ================================================================
 
 ProfileStore::Options
-serverTortureOptions(const std::string &dir)
+serverTortureOptions()
 {
     ProfileStore::Options options;
     options.workers = 1;
-    options.data_dir = dir;
     options.log_segment_bytes = 4000; // rollovers mid-stream
     options.log_compact_min_dead_bytes = 1ull << 40;
     options.log_checkpoint_bytes = 0;
@@ -962,9 +979,11 @@ TEST(ServerCrashTortureChild, Serve)
     if (dir == nullptr || port_file == nullptr)
         GTEST_SKIP() << "server torture child only runs under the harness";
 
-    ProfileStore store(serverTortureOptions(dir));
-    QueryEngine engine(store);
-    WireServer server(store, engine, Harness::testOptions());
+    WarehouseManager::Options options;
+    options.root_dir = dir;
+    options.store = serverTortureOptions();
+    WarehouseManager manager(options);
+    WireServer server(manager, Harness::testOptions());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     ASSERT_TRUE(atomicWriteFile(
@@ -1075,9 +1094,13 @@ serverTortureRound(int kill_after, const std::string &self_exe)
     killAndReap(child.pid);
     client.close();
 
-    // Recover on the same directory: the acked set is the floor, the
-    // in-flight run the only permitted extra.
-    ProfileStore recovered(serverTortureOptions(dir));
+    // Recover the default corpus the unscoped client wrote to: the
+    // acked set is the floor, the in-flight run the only permitted
+    // extra. With no ack yet the server may have died before creating
+    // the corpus; the store then opens its directory empty.
+    ProfileStore::Options options = serverTortureOptions();
+    options.data_dir = dir + "/" + server::kDefaultCorpus;
+    ProfileStore recovered(options);
     ASSERT_TRUE(recovered.logHealthy()) << recovered.logError();
     std::set<std::string> got;
     for (const std::string &id : recovered.runIds())

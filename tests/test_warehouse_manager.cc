@@ -5,10 +5,10 @@
  * modes), federated queries spanning corpora with *different*
  * StringTables (disjoint, overlapping, and post-compactNames()
  * id-recycled name sets — the cross-table NameTranslator surface),
- * the corpus-addressed wire protocol (v2 routing, v1 back-compat,
- * lifecycle + federated opcodes, per-corpus stats labels), the
+ * the corpus-addressed wire protocol (corpus routing, the default
+ * corpus, lifecycle + federated opcodes, per-corpus stats labels), the
  * close-vs-cold-rebuild drain race (run under TSan in CI), and the
- * multi-corpus crash torture: SIGKILL a manager-mode server while two
+ * multi-corpus crash torture: SIGKILL a serving process while two
  * corpora ingest concurrently, restart on the same root, and hold
  * every corpus to the durable-ack contract independently.
  *
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analyzer/diff.h"
+#include "common/deadline.h"
 #include "common/executor.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
@@ -43,7 +44,6 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "service/cct_merger.h"
-#include "service/deadline.h"
 #include "service/profile_store.h"
 #include "service/query_engine.h"
 #include "service/warehouse_manager.h"
@@ -55,7 +55,6 @@ using prof::Cct;
 using prof::CctNode;
 using prof::MetricRegistry;
 using prof::ProfileDb;
-using server::Frame;
 using server::Opcode;
 using server::ServerOptions;
 using server::Status;
@@ -544,8 +543,8 @@ TEST(FederatedQuery, ErrorsAndDeadlines)
     EXPECT_NE(error.find("ghost"), std::string::npos) << error;
 
     // An already-expired deadline abandons the gather between legs.
-    service::ScopedDeadline expired(service::Deadline::after(0));
-    ASSERT_TRUE(service::deadlineExpired());
+    common::ScopedDeadline expired(common::Deadline::after(0));
+    ASSERT_TRUE(common::deadlineExpired());
     EXPECT_FALSE(
         manager.federatedTopKernels({"a"}, 8, {}, "gpu_time", &error)
             .has_value());
@@ -626,8 +625,8 @@ TEST(FederatedQuery, StalledLegYieldsDeadlineWhileOthersComplete)
                                    "):hit=1"));
     const auto start = std::chrono::steady_clock::now();
     {
-        service::ScopedDeadline deadline(
-            service::Deadline::afterMs(50));
+        common::ScopedDeadline deadline(
+            common::Deadline::afterMs(50));
         EXPECT_FALSE(manager
                          .federatedTopKernels(
                              {"a", "b"}, 8, {},
@@ -714,7 +713,7 @@ TEST(ManagerDrainRace, CloseAndDropRaceColdRebuilds)
 
 // ================================================================
 // Wire integration: corpus routing, lifecycle + federated opcodes,
-// v1 back-compat, per-corpus stats labels.
+// the default corpus, per-corpus stats labels.
 // ================================================================
 
 /** Manager + server with test-friendly bounds. */
@@ -838,34 +837,18 @@ TEST(WireWarehouse, CorpusAddressedRoundTrip)
     EXPECT_EQ(client.corpusOpen("jax").status, Status::kNotFound);
 }
 
-TEST(WireWarehouse, DefaultCorpusServesUnscopedAndV1Peers)
+TEST(WireWarehouse, DefaultCorpusServesUnscopedRequests)
 {
     WarehouseHarness h;
     ASSERT_TRUE(h.start());
     WireClient client = h.client();
 
-    // An unscoped v2 client lands in the default corpus, which springs
+    // An unscoped client lands in the default corpus, which springs
     // into being on first touch.
     ASSERT_EQ(client.ingest("r0", profileText(1), true).status,
               Status::kOk);
-    EXPECT_TRUE(h.manager.isOpen("default"));
-
-    // A v1 frame (no corpus prefix anywhere) addresses it too.
-    const std::string v1 = server::encodeFrame(
-        static_cast<std::uint8_t>(Opcode::kIngest), server::kFlagDurable,
-        77, 0, server::encodeIngestRequest("v1-run", profileText(2)),
-        /*version=*/1);
-    ASSERT_TRUE(client.sendRaw(v1));
-    Frame frame;
-    std::string error;
-    ASSERT_TRUE(client.recv(&frame, 10'000, &error)) << error;
-    EXPECT_EQ(frame.request_id, 77u);
-    EXPECT_EQ(frame.status(), Status::kOk) << frame.payload;
-    EXPECT_EQ(h.manager.open("default")->store.size(), 2u);
-
-    // The response the server sent back is a v2 frame; v1 requests and
-    // v2 responses interoperate because decode accepts the range.
-    EXPECT_EQ(frame.version, server::kWireVersion);
+    EXPECT_TRUE(h.manager.isOpen(server::kDefaultCorpus));
+    EXPECT_EQ(h.manager.open(server::kDefaultCorpus)->store.size(), 1u);
 }
 
 TEST(WireWarehouse, FederatedOpcodesRoundTrip)
@@ -936,35 +919,8 @@ TEST(WireWarehouse, LifecycleErrorMapping)
               Status::kNotFound);
 }
 
-TEST(WireWarehouse, SingleCorpusServerRejectsManagerOpcodes)
-{
-    ProfileStore store(memStoreOptions());
-    QueryEngine engine(store);
-    ServerOptions options = WarehouseHarness::testServerOptions();
-    WireServer server(store, engine, options);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    WireClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
-        << error;
-
-    // The default corpus name aliases the one store; anything else is
-    // NOT_FOUND; lifecycle/federated opcodes are BAD_REQUEST.
-    ASSERT_EQ(client.ingest("r0", profileText(1), true).status,
-              Status::kOk);
-    client.setCorpus(options.default_corpus);
-    std::vector<server::KernelRow> rows;
-    EXPECT_EQ(client.topKernels(8, "", {}, &rows).status, Status::kOk);
-    client.setCorpus("other");
-    EXPECT_EQ(client.ingest("r1", profileText(2)).status,
-              Status::kNotFound);
-    client.setCorpus("");
-    EXPECT_EQ(client.corpusCreate("x").status, Status::kBadRequest);
-    EXPECT_EQ(client.federatedMerged({"a"}).status, Status::kBadRequest);
-}
-
 // ================================================================
-// Multi-corpus crash torture: SIGKILL a manager-mode server while two
+// Multi-corpus crash torture: SIGKILL a serving process while two
 // corpora ingest concurrently over the wire, restart a manager on the
 // same root, and hold every corpus to the durable-ack contract
 // independently — plus federated equivalence over the recovered set.
