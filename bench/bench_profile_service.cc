@@ -788,9 +788,9 @@ benchTelemetryOverhead(const std::vector<std::string> &pool,
  *
  *  - server_qps / server_p50_us / server_p99_us: a loopback client
  *    issuing cached topKernels calls through the full path — framing,
- *    checksums, epoll, worker dispatch, response flush. Against
+ *    checksums, epoll, pool dispatch, response flush. Against
  *    cached_topk_us the delta is the protocol tax.
- *  - server_shed_correct: with one deliberately stalled worker
+ *  - server_shed_correct: with every request deliberately stalled
  *    (srv.exec delay failpoint) and a tiny admission watermark, a
  *    pipelined burst must get exactly one response per request —
  *    served or an explicit OVERLOADED, with at least one of each and
@@ -857,13 +857,12 @@ benchWireServer(const std::vector<std::string> &pool,
         server.stop();
     }
 
-    // Forced overload: stall the only worker, flood past the
-    // watermark, require the shed contract to hold exactly.
+    // Forced overload: stall every admitted request on the pool, flood
+    // past the watermark, require the shed contract to hold exactly.
     bool shed_correct = false;
     {
         WarehouseManager manager;
         server::ServerOptions options;
-        options.workers = 1;
         options.max_pending = 4;
         server::WireServer server(manager, options);
         std::string error;

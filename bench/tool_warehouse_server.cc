@@ -13,7 +13,7 @@
  *
  * Usage: tool_warehouse_server [--port P] [--host H]
  *          [--corpus-root DIR] [--max-open N]
- *          [--workers N] [--max-pending N] [--max-conn-pending N]
+ *          [--max-pending N] [--max-conn-pending N]
  *          [--idle-timeout-ms N] [--drain-timeout-ms N]
  *          [--port-file FILE]
  *
@@ -77,9 +77,6 @@ main(int argc, char **argv)
             manager_options.root_dir = argv[++i];
         } else if (arg("--max-open")) {
             manager_options.max_open =
-                static_cast<std::size_t>(std::atoi(argv[++i]));
-        } else if (arg("--workers")) {
-            options.workers =
                 static_cast<std::size_t>(std::atoi(argv[++i]));
         } else if (arg("--max-pending")) {
             options.max_pending =

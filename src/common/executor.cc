@@ -124,7 +124,7 @@ Executor::global()
 }
 
 bool
-Executor::trySubmit(Task &task)
+Executor::push(Task &task)
 {
     if (obs::enabled())
         task.enqueue_ns = obs::nowNs();
@@ -162,7 +162,7 @@ void
 Executor::submit(std::function<void()> fn)
 {
     Task task{std::move(fn), 0};
-    if (trySubmit(task))
+    if (push(task))
         return;
     // Every queue at capacity: shed to the submitter. The task runs
     // with the caller's own deadline scope, exactly as a direct call.
@@ -170,6 +170,13 @@ Executor::submit(std::function<void()> fn)
     if (obs::enabled())
         inlineCounter().add();
     task.fn();
+}
+
+bool
+Executor::trySubmit(std::function<void()> fn)
+{
+    Task task{std::move(fn), 0};
+    return push(task);
 }
 
 bool
@@ -308,7 +315,7 @@ TaskGroup::submit(std::function<void()> fn)
         }
         finishOne();
     };
-    if (executor_.trySubmit(task))
+    if (executor_.push(task))
         return;
     // Saturated pool: the group's wrapper still runs (with its
     // deadline scope and completion accounting), just on this thread.

@@ -26,7 +26,9 @@
  *  - **Bounded queues, inline overflow.** A full pool sheds to the
  *    submitter: submit() runs the task on the calling thread instead
  *    of buffering without bound — backpressure composes with the
- *    store's own queue limits instead of hiding behind them.
+ *    store's own queue limits instead of hiding behind them. A thread
+ *    that must never run pool work (the wire server's I/O thread)
+ *    uses trySubmit(), which reports the full pool instead.
  *
  *  - **Nested-submit safety.** TaskGroup::wait() *helps*: while its
  *    tasks are outstanding it runs queued tasks of that group on the
@@ -78,7 +80,8 @@ class Executor
         /// least 1).
         std::size_t threads = 0;
         /// Per-worker queue bound; a submit finding every queue full
-        /// runs the task on the submitting thread.
+        /// runs the task on the submitting thread (trySubmit() fails
+        /// instead).
         std::size_t queue_capacity = 1024;
     };
 
@@ -122,6 +125,13 @@ class Executor
     void submit(std::function<void()> fn);
 
     /**
+     * Detached submission that never runs @p fn on the calling
+     * thread: when every queue is at capacity, @p fn is dropped unrun
+     * and false is returned, so the caller can shed the work instead.
+     */
+    bool trySubmit(std::function<void()> fn);
+
+    /**
      * Pop-and-run one queued task on the calling thread. With
      * @p only_tag set, only a task carrying that tag (a TaskGroup
      * helping its own work) is taken; untagged callers (drains) take
@@ -155,7 +165,7 @@ class Executor
     /// Queue @p task (round-robin start, first queue with room); false
     /// when every queue is full — @p task is left intact for the
     /// caller to run inline.
-    bool trySubmit(Task &task);
+    bool push(Task &task);
     /// Pop for worker @p self: own back first, then steal fronts.
     bool popTask(std::size_t self, Task *out);
     /// Steal from any queue (helping waiters; no home queue). With

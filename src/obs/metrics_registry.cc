@@ -19,7 +19,6 @@ namespace dc::obs {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{true};
 std::atomic<int> g_enabled_state{0};
 
 bool

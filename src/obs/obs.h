@@ -20,7 +20,6 @@
 namespace dc::obs {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 /// First call latches the state from the DC_OBS env var (0/off/false
 /// disables; anything else, or unset, enables).
 bool enabledSlow();

@@ -32,9 +32,9 @@ failpoint::Site s_fp_accept{"srv.accept"};
 failpoint::Site s_fp_read{"srv.read"};
 failpoint::Site s_fp_write{"srv.write"};
 failpoint::Site s_fp_decode{"srv.frame.decode"};
-/// Worker-side site: a delay() here stalls request execution, which is
-/// how the overload and deadline tests make "slow request"
-/// deterministic instead of racing a real cold rebuild.
+/// Pool-side site: a delay() here stalls request execution on its pool
+/// thread, which is how the overload and deadline tests make "slow
+/// request" deterministic instead of racing a real cold rebuild.
 failpoint::Site s_fp_exec{"srv.exec"};
 
 obs::SpanSite s_request_span{"server.request", 4};
@@ -100,7 +100,6 @@ validOpcode(std::uint8_t kind)
 void
 clampOptions(ServerOptions &options)
 {
-    options.workers = std::max<std::size_t>(options.workers, 1);
     options.max_conn_pending =
         std::max<std::size_t>(options.max_conn_pending, 1);
     options.max_pending = std::max<std::size_t>(options.max_pending, 1);
@@ -192,9 +191,6 @@ WireServer::start(std::string *error)
     draining_.store(false);
     running_.store(true);
     io_thread_ = std::thread([this] { ioLoop(); });
-    workers_.reserve(options_.workers);
-    for (std::size_t i = 0; i < options_.workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
     DC_INFORM("wire server listening on ", options_.host, ":", port_);
     return true;
 }
@@ -213,24 +209,12 @@ WireServer::drain()
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(options_.drain_timeout_ms);
     {
-        // Let in-flight (admitted) requests finish, bounded.
-        std::unique_lock<std::mutex> lock(work_mutex_);
+        // Let in-flight (admitted) requests finish, bounded; durable
+        // ingests count until their completion answers them.
+        std::unique_lock<std::mutex> lock(pending_mutex_);
         drain_cv_.wait_until(lock, deadline, [this] {
             return pending_.load() == 0;
         });
-        // Past the budget: shed whatever is still queued (executing
-        // requests cannot be interrupted; their deadline token is the
-        // bound on those).
-        while (!work_.empty()) {
-            Work work = std::move(work_.front());
-            work_.pop_front();
-            lock.unlock();
-            respond(work.conn, work.frame.request_id,
-                    Status::kShuttingDown, "draining");
-            work.conn->pending.fetch_sub(1);
-            pending_.fetch_sub(1);
-            lock.lock();
-        }
     }
     // Every acked ingest is already on its store's queue (or done);
     // drain so the WALs hold them all before the process exits.
@@ -248,19 +232,19 @@ WireServer::stop()
 {
     if (!running_.load())
         return;
+    // Never on a pool thread: it waits for pool tasks below.
     stopping_.store(true);
-    {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-    }
-    work_cv_.notify_all();
-    drain_cv_.notify_all();
     std::uint64_t tick = 1;
     (void)!::write(wake_fd_, &tick, sizeof(tick));
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
     if (io_thread_.joinable())
         io_thread_.join();
+    {
+        // Posted requests and pending ingest acks still point at this
+        // server (and may write wake_fd_). With every connection
+        // closed they only release their slots; wait out the last.
+        std::unique_lock<std::mutex> lock(pending_mutex_);
+        drain_cv_.wait(lock, [this] { return pending_.load() == 0; });
+    }
     if (epoll_fd_ >= 0)
         ::close(epoll_fd_);
     if (wake_fd_ >= 0)
@@ -501,90 +485,79 @@ WireServer::dispatch(const std::shared_ptr<Conn> &conn, Frame frame)
             static_cast<int>(options_.max_pending) ||
         conn->pending.load() >=
             static_cast<int>(options_.max_conn_pending)) {
-        shedCounter().add();
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.shed;
-        }
         respond(conn, frame.request_id, Status::kOverloaded,
                 "overloaded");
         return;
     }
     pending_.fetch_add(1);
     conn->pending.fetch_add(1);
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests;
-    }
+    const std::uint64_t request_id = frame.request_id;
     Work work;
     work.conn = conn;
     if (frame.deadline_ms > 0)
         work.deadline = common::Deadline::afterMs(frame.deadline_ms);
     work.frame = std::move(frame);
-    {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-        work_.push_back(std::move(work));
+    // Never run here: the I/O thread must keep serving sockets.
+    if (!common::Executor::global().trySubmit(
+            [this, work = std::move(work)] { run(work); })) {
+        conn->pending.fetch_sub(1);
+        pending_.fetch_sub(1);
+        respond(conn, request_id, Status::kOverloaded, "overloaded");
+        return;
     }
-    work_cv_.notify_one();
+    // Counted before this thread can flush the reply.
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.requests;
 }
 
 void
-WireServer::workerLoop()
+WireServer::run(const Work &work)
 {
-    for (;;) {
-        Work work;
-        {
-            std::unique_lock<std::mutex> lock(work_mutex_);
-            work_cv_.wait(lock, [this] {
-                return stopping_.load() || !work_.empty();
-            });
-            if (stopping_.load())
-                return;
-            work = std::move(work_.front());
-            work_.pop_front();
-        }
-        obs::ObsSpan span(s_request_span, work.frame.kind);
-
-        Status status = Status::kError;
-        std::string payload;
-        if (work.conn->closed.load()) {
-            // Peer is gone; skip execution, just release the slots.
-            status = Status::kError;
-        } else if (work.deadline.expired()) {
-            status = Status::kDeadlineExceeded;
-        } else {
-            common::ScopedDeadline scope(work.deadline);
-            status = execute(work, &payload);
-            // A response past its deadline is useless to the caller
-            // regardless of content; report the timeout. For
-            // mutations this means "too late", not "not applied".
-            if (work.deadline.expired()) {
-                status = Status::kDeadlineExceeded;
-                payload.clear();
-            }
-        }
-        if (status == Status::kDeadlineExceeded) {
-            deadlineCounter().add();
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.deadline_exceeded;
-        }
-        if (!work.conn->closed.load())
-            respond(work.conn, work.frame.request_id, status, payload);
-        work.conn->pending.fetch_sub(1);
-        if (pending_.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> lock(work_mutex_);
-            drain_cv_.notify_all();
-        }
+    obs::ObsSpan span(s_request_span, work.frame.kind);
+    Status status = Status::kShuttingDown;
+    std::string payload;
+    // A closed peer, a stopping server or an expired deadline: skip
+    // execution, just answer (if anyone listens) and release the slots.
+    if (!stopping_.load() && !work.conn->closed.load() &&
+        !work.deadline.expired()) {
+        common::ScopedDeadline scope(work.deadline);
+        const std::optional<Status> result = execute(work, &payload);
+        if (!result.has_value())
+            return; // a durable ingest: its completion answers
+        status = *result;
     }
+    finish(work.conn, work.frame.request_id, work.deadline, status,
+           payload);
+}
+
+void
+WireServer::finish(const std::shared_ptr<Conn> &conn,
+                   std::uint64_t request_id,
+                   const common::Deadline &deadline, Status status,
+                   std::string_view payload)
+{
+    // A response past its deadline is useless to the caller regardless
+    // of content; report the timeout. For mutations this means "too
+    // late", not "not applied".
+    if (deadline.expired()) {
+        status = Status::kDeadlineExceeded;
+        payload = {};
+    }
+    respond(conn, request_id, status, payload);
+    conn->pending.fetch_sub(1);
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    if (pending_.fetch_sub(1) == 1)
+        drain_cv_.notify_all();
 }
 
 service::CorpusHandle
 WireServer::resolveCorpus(const std::string &corpus_id,
-                          std::string *payload)
+                          bool create_default, std::string *payload)
 {
     std::string error;
     service::CorpusHandle handle = manager_.open(corpus_id, &error);
-    if (handle == nullptr && corpus_id == kDefaultCorpus) {
+    if (handle == nullptr && create_default &&
+        corpus_id == kDefaultCorpus) {
         handle = manager_.create(corpus_id, &error);
         if (handle == nullptr) // lost a create race
             handle = manager_.open(corpus_id, &error);
@@ -594,7 +567,7 @@ WireServer::resolveCorpus(const std::string &corpus_id,
     return handle;
 }
 
-Status
+std::optional<Status>
 WireServer::execute(const Work &work, std::string *payload)
 {
     // delay(ms) sleeps inside eval(); other actions are meaningless
@@ -618,7 +591,10 @@ WireServer::execute(const Work &work, std::string *payload)
     }
     if (corpus_id.empty())
         corpus_id = kDefaultCorpus;
-    const service::CorpusHandle corpus = resolveCorpus(corpus_id, payload);
+    // Only a write brings the default corpus into being; a read of a
+    // missing one is NOT_FOUND, like any unknown corpus.
+    const service::CorpusHandle corpus = resolveCorpus(
+        corpus_id, frame.opcode() == Opcode::kIngest, payload);
     if (corpus == nullptr)
         return Status::kNotFound;
     service::ProfileStore &store = corpus->store;
@@ -626,7 +602,7 @@ WireServer::execute(const Work &work, std::string *payload)
 
     switch (frame.opcode()) {
     case Opcode::kIngest:
-        return executeIngest(store, op_payload, frame.flags, payload);
+        return executeIngest(work, store, op_payload, payload);
     case Opcode::kErase: {
         WireReader reader(op_payload);
         const std::string run_id = reader.str();
@@ -899,37 +875,44 @@ WireServer::executeManager(const Work &work, std::string *payload)
     return Status::kBadRequest;
 }
 
-Status
-WireServer::executeIngest(service::ProfileStore &store,
-                          std::string_view op_payload,
-                          std::uint16_t flags, std::string *payload)
+std::optional<Status>
+WireServer::executeIngest(const Work &work, service::ProfileStore &store,
+                          std::string_view op_payload, std::string *payload)
 {
     std::string run_id, text;
     if (!decodeIngestRequest(op_payload, &run_id, &text)) {
         *payload = "bad ingest payload";
         return Status::kBadRequest;
     }
-    const bool durable = (flags & kFlagDurable) != 0;
-    store.ingestText(run_id, std::move(text));
-    if (!durable)
-        return Status::kOk; // accepted: queued on the store's pool
-    // Durable ack: the run must be stored, and on a durable store the
-    // log must be healthy (no unlogged runs, last append succeeded) —
-    // only then is "acked" a promise a restart will keep.
-    store.waitIdle();
-    if (store.get(run_id) == nullptr) {
-        *payload = "ingest rejected";
-        for (const auto &[id, why] : store.failures()) {
-            if (id == run_id)
-                *payload = "ingest rejected: " + why;
-        }
-        return Status::kError;
+    const bool durable = (work.frame.flags & kFlagDurable) != 0;
+    service::IngestDone done;
+    if (durable) {
+        // The ack is this run's own outcome (OK = stored, visible and,
+        // on a durable store, synced): a promise a restart will keep.
+        done = [this, conn = work.conn,
+                request_id = work.frame.request_id,
+                deadline = work.deadline](service::IngestOutcome outcome,
+                                          std::string error) {
+            using service::IngestOutcome;
+            const bool ok = outcome == IngestOutcome::kStored;
+            if (!ok) {
+                error.insert(0, outcome == IngestOutcome::kRejected
+                                    ? "ingest rejected: "
+                                    : "stored but not durable: ");
+            }
+            finish(conn, request_id, deadline,
+                   ok ? Status::kOk : Status::kError, error);
+        };
     }
-    if (store.log() != nullptr && !store.logHealthy()) {
-        *payload = "stored but not durable: " + store.logError();
-        return Status::kError;
+    // Never blocks this pool thread on the store's backpressure.
+    if (!store.ingestText(std::move(run_id), std::move(text),
+                          std::move(done))) {
+        *payload = "ingest queue full";
+        return Status::kOverloaded;
     }
-    return Status::kOk;
+    if (durable)
+        return std::nullopt;
+    return Status::kOk; // accepted: queued on the store's drains
 }
 
 std::string
@@ -1052,9 +1035,16 @@ WireServer::respond(const std::shared_ptr<Conn> &conn,
             return;
         conn->outbuf += frame;
     }
+    if (status == Status::kOverloaded)
+        shedCounter().add();
+    else if (status == Status::kDeadlineExceeded)
+        deadlineCounter().add();
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.responses;
+        stats_.shed += status == Status::kOverloaded ? 1 : 0;
+        stats_.deadline_exceeded +=
+            status == Status::kDeadlineExceeded ? 1 : 0;
     }
     {
         std::lock_guard<std::mutex> lock(flush_mutex_);

@@ -5,7 +5,8 @@
  * The warehouse's wire front end: a POSIX socket listener serving the
  * framed protocol (wire.h) over a WarehouseManager's corpora.
  *
- * Threading model — one epoll I/O thread plus a small worker pool:
+ * Threading model — one epoll I/O thread; requests run on the shared
+ * executor (common/executor.h):
  *
  *  - The I/O thread owns every socket. It accepts connections,
  *    reads/decodes frames, writes queued responses, and enforces the
@@ -15,26 +16,30 @@
  *    hold a file descriptor forever.
  *
  *  - Decoded requests pass admission control *on the I/O thread*: past
- *    the global pending-request high watermark (queued + executing) or
- *    the per-connection pipeline cap, the request is immediately
- *    answered OVERLOADED — an explicit shed the client can back off
- *    on, never a silently growing queue. Admitted requests go to a
- *    bounded work queue drained by the worker threads.
+ *    the global pending-request high watermark (admitted, not yet
+ *    answered) or the per-connection pipeline cap, the request is
+ *    immediately answered OVERLOADED — an explicit shed the client can
+ *    back off on, never a silently growing queue. Admitted requests go
+ *    to the pool through Executor::trySubmit(), which never runs them
+ *    here; a full pool is answered OVERLOADED too.
  *
- *  - Workers execute requests against the addressed corpus. A request
- *    whose frame carried deadline_ms gets a common::ScopedDeadline
- *    for its execution: the query path's cold rebuilds poll the token
- *    and abandon work past the deadline, and any request observed past
- *    its deadline is answered DEADLINE_EXCEEDED (note: for mutations
- *    this means "answer too late", not "not applied" — an ingest may
- *    have committed before the deadline passed). Responses are queued
- *    on the connection's bounded outbox and flushed by the I/O thread.
+ *  - A pool task executes the request against the addressed corpus. A
+ *    request whose frame carried deadline_ms gets a
+ *    common::ScopedDeadline for its execution: the query path's cold
+ *    rebuilds poll the token and abandon work past the deadline, and
+ *    any reply leaving past its deadline is DEADLINE_EXCEEDED (note:
+ *    for mutations this means "answer too late", not "not applied" —
+ *    an ingest may have committed before the deadline passed).
+ *    Responses are queued on the connection's bounded outbox and
+ *    flushed by the I/O thread.
  *
  *  - Ingest is asynchronous by default (accepted = queued on the
- *    store's worker pool, backpressure included). With kFlagDurable
- *    the worker waits for the store to drain and acks only a run that
- *    is stored and — on a durable store — covered by a healthy log:
- *    the ack protocol the server crash-torture mode replays against.
+ *    store's drains; a full store queue is OVERLOADED). With
+ *    kFlagDurable the reply leaves from the run's own IngestDone
+ *    completion, with that run's outcome: OK only once it is stored,
+ *    visible to queries and, on a durable store, synced — the ack
+ *    protocol the server crash-torture mode replays against. No pool
+ *    thread waits on the store meanwhile.
  *
  * Graceful drain (drain(), or SIGTERM in tool_warehouse_server): stop
  * accepting, answer new frames SHUTTING_DOWN, let in-flight requests
@@ -46,8 +51,10 @@
  *
  * **Corpus routing.** Every single-corpus request is routed by its
  * corpus prefix (wire.h); an empty corpus id addresses kDefaultCorpus,
- * created on first touch so a client that never names a corpus needs
- * no setup. Corpus-lifecycle and federated opcodes go to the manager.
+ * which the first ingest creates so a client that never names a
+ * corpus needs no setup (reads of a missing default corpus answer
+ * NOT_FOUND, like any unknown corpus). Corpus-lifecycle and federated
+ * opcodes go to the manager.
  * A request holds its corpus's refcounted handle for the duration of
  * execution, so a concurrent close/LRU-evict/drop drains behind
  * in-flight queries instead of racing them.
@@ -56,10 +63,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,12 +85,10 @@ inline constexpr char kDefaultCorpus[] = "default";
 struct ServerOptions {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0; ///< 0 = ephemeral (see WireServer::port()).
-    /// Request-execution worker threads.
-    std::size_t workers = 2;
     /// Connections beyond this are accepted and immediately closed.
     std::size_t max_connections = 256;
-    /// Global admission high watermark: queued + executing requests
-    /// beyond this are shed with OVERLOADED.
+    /// Global admission high watermark: admitted requests not yet
+    /// answered beyond this are shed with OVERLOADED.
     std::size_t max_pending = 128;
     /// Per-connection pipeline cap, same shed behavior.
     std::size_t max_conn_pending = 32;
@@ -108,7 +113,7 @@ struct ServerOptions {
 struct ServerStats {
     std::uint64_t accepted = 0; ///< Connections accepted.
     std::uint64_t active_connections = 0;
-    std::uint64_t requests = 0;  ///< Admitted to the work queue.
+    std::uint64_t requests = 0;  ///< Admitted to the pool.
     std::uint64_t responses = 0; ///< Frames queued for send (all
                                  ///< statuses, shed included).
     std::uint64_t shed = 0;      ///< OVERLOADED responses.
@@ -127,8 +132,8 @@ class WireServer
   public:
     /**
      * Server over @p manager (must outlive the server): requests route
-     * by their corpus prefix, and kDefaultCorpus is created on first
-     * touch.
+     * by their corpus prefix, and the first ingest creates
+     * kDefaultCorpus.
      */
     explicit WireServer(service::WarehouseManager &manager,
                         ServerOptions options = {});
@@ -137,7 +142,7 @@ class WireServer
     WireServer(const WireServer &) = delete;
     WireServer &operator=(const WireServer &) = delete;
 
-    /** Bind, listen, and start the I/O + worker threads. */
+    /** Bind, listen, and start the I/O thread. */
     bool start(std::string *error = nullptr);
 
     /** The bound port (after start(); resolves port 0). */
@@ -146,12 +151,12 @@ class WireServer
     /**
      * Graceful drain: stop accepting, shed new frames with
      * SHUTTING_DOWN, wait (bounded) for in-flight requests, drain the
-     * corpora's ingestion queues so acked runs are WAL-durable, flush
-     * outboxes, then stop the threads. Idempotent.
+     * corpora's ingestion queues so acked runs are WAL-durable, and
+     * flush outboxes. Idempotent.
      */
     void drain();
 
-    /** Hard stop: close everything and join the threads. Idempotent. */
+    /** Hard stop: close all, join the I/O thread, await queued work. */
     void stop();
 
     bool running() const { return running_.load(); }
@@ -183,14 +188,20 @@ class WireServer
     };
 
     void ioLoop();
-    void workerLoop();
     void doAccept();
     /// Read available bytes and dispatch complete frames. Returns
     /// false when the connection must close.
     bool readConn(const std::shared_ptr<Conn> &conn);
-    /// Admission control + enqueue (or immediate shed response).
+    /// Admission control + pool hand-off (or immediate shed response).
     void dispatch(const std::shared_ptr<Conn> &conn, Frame frame);
-    /// Queue a response frame on @p conn (any thread).
+    /// One admitted request, on a pool thread.
+    void run(const Work &work);
+    /// Answer an admitted request (a reply past @p deadline becomes
+    /// DEADLINE_EXCEEDED) and release its admission slots.
+    void finish(const std::shared_ptr<Conn> &conn,
+                std::uint64_t request_id, const common::Deadline &deadline,
+                Status status, std::string_view payload);
+    /// Queue a response frame on @p conn (any thread; no-op if closed).
     void respond(const std::shared_ptr<Conn> &conn,
                  std::uint64_t request_id, Status status,
                  std::string_view payload);
@@ -203,19 +214,22 @@ class WireServer
     /// Arm/disarm EPOLLOUT for @p conn (I/O thread).
     void updateEpoll(const std::shared_ptr<Conn> &conn);
 
-    /// Open the corpus @p corpus_id names, creating kDefaultCorpus on
-    /// first touch. The handle pins the corpus for the request's
-    /// duration: a concurrent close/evict/drop waits for it to drop
-    /// (warehouse_manager.h). Null = unknown corpus (@p payload says
-    /// why).
+    /// Open the corpus @p corpus_id names; with @p create_default, a
+    /// missing kDefaultCorpus is created. The handle pins the corpus
+    /// for the request's duration: a concurrent close/evict/drop waits
+    /// for it to drop (warehouse_manager.h). Null = unknown corpus
+    /// (@p payload says why).
     service::CorpusHandle resolveCorpus(const std::string &corpus_id,
+                                        bool create_default,
                                         std::string *payload);
 
     /// Execute one admitted request; fills status + response payload.
-    Status execute(const Work &work, std::string *payload);
-    Status executeIngest(service::ProfileStore &store,
-                         std::string_view op_payload,
-                         std::uint16_t flags, std::string *payload);
+    /// No status = a durable ingest whose completion answers it.
+    std::optional<Status> execute(const Work &work, std::string *payload);
+    std::optional<Status> executeIngest(const Work &work,
+                                        service::ProfileStore &store,
+                                        std::string_view op_payload,
+                                        std::string *payload);
     /// Corpus-lifecycle and federated opcodes.
     Status executeManager(const Work &work, std::string *payload);
     std::string statsPayload(const service::Corpus &corpus);
@@ -225,7 +239,7 @@ class WireServer
 
     int listen_fd_ = -1;
     int epoll_fd_ = -1;
-    int wake_fd_ = -1; ///< eventfd: workers wake the I/O thread.
+    int wake_fd_ = -1; ///< eventfd: replies wake the I/O thread.
     std::uint16_t port_ = 0;
 
     std::atomic<bool> running_{false};
@@ -238,15 +252,13 @@ class WireServer
     /// I/O-thread-owned connection table.
     std::map<int, std::shared_ptr<Conn>> conns_;
 
-    /// Queued + executing requests (admission watermark).
+    /// Admitted requests not yet answered (admission watermark).
     std::atomic<int> pending_{0};
-
-    std::mutex work_mutex_;
-    std::condition_variable work_cv_;
+    /// pending_ hits 0 under this, after finish()'s last server touch.
+    std::mutex pending_mutex_;
     std::condition_variable drain_cv_; ///< pending_ hit 0.
-    std::deque<Work> work_;
 
-    /// Connections with fresh outbox bytes, queued by workers for the
+    /// Connections with fresh outbox bytes, queued by replies for the
     /// I/O thread to flush.
     std::mutex flush_mutex_;
     std::vector<std::shared_ptr<Conn>> flush_queue_;
@@ -255,7 +267,6 @@ class WireServer
     ServerStats stats_;
 
     std::thread io_thread_;
-    std::vector<std::thread> workers_;
 };
 
 } // namespace dc::server

@@ -71,9 +71,18 @@ reattachedCounter()
     return counter;
 }
 
+/// The pool a store's drains run on (Options::executor).
+common::Executor &
+poolFor(const ProfileStore::Options &options)
+{
+    return options.executor != nullptr ? *options.executor
+                                       : common::Executor::global();
+}
+
 } // namespace
 
 ProfileStore::ProfileStore(Options options)
+    : drains_(poolFor(options), common::Deadline{})
 {
     DC_CHECK(options.shards > 0, "store needs at least one shard");
     DC_CHECK(options.max_queue > 0, "store needs queue capacity");
@@ -99,14 +108,11 @@ ProfileStore::ProfileStore(Options options)
     if (!options.data_dir.empty())
         openAndReplayLog(options);
 
-    executor_ = options.executor != nullptr
-                    ? options.executor
-                    : &common::Executor::global();
     // Default the drain width to the pool actually configured, not
     // hardware_concurrency: a narrow private executor must not be
     // handed more concurrent drains than it has threads to run them.
     worker_limit_ = options.workers > 0 ? options.workers
-                                        : executor_->threads();
+                                        : poolFor(options).threads();
     if (log_ != nullptr)
         reattach_thread_ = std::thread([this] { reattachLoop(); });
 }
@@ -239,15 +245,16 @@ ProfileStore::~ProfileStore()
         stopping_ = true;
         space_cv_.notify_all();
         // Let producers blocked on backpressure finish their (rejected)
-        // calls before members are torn down, then let the pooled
-        // drainers empty the queue and retire — a drain task running
-        // on the shared executor must never touch a freed store.
-        // Calls *started* after destruction begins are caller UB, as
-        // for any C++ object.
-        idle_cv_.wait(lock, [this] {
-            return active_producers_ == 0 && drainers_ == 0;
-        });
+        // calls before members are torn down; once they are gone no
+        // drain can be scheduled. Calls *started* after destruction
+        // begins are caller UB, as for any C++ object.
+        idle_cv_.wait(lock, [this] { return active_producers_ == 0; });
     }
+    // Let the pooled drainers empty the queue and retire — a drain task
+    // must never touch a freed store. wait() helps run the queued ones,
+    // so a store closed by a pool task (a wire CORPUS_DROP, an LRU
+    // eviction) never sleeps on a drain only the pool could run.
+    drains_.wait();
     if (reattach_thread_.joinable()) {
         {
             std::lock_guard<std::mutex> lock(reattach_mutex_);
@@ -289,7 +296,7 @@ ProfileStore::ingest(std::string run_id,
     task.run_id = std::move(run_id);
     task.profile = std::move(profile);
     task.bytes = task.profile->cct().memoryBytes();
-    enqueue(std::move(task));
+    enqueue(std::move(task), /*block=*/true);
 }
 
 void
@@ -300,7 +307,20 @@ ProfileStore::ingestText(std::string run_id, std::string text)
     task.run_id = std::move(run_id);
     task.payload = std::move(text);
     task.bytes = task.payload.size();
-    enqueue(std::move(task));
+    enqueue(std::move(task), /*block=*/true);
+}
+
+bool
+ProfileStore::ingestText(std::string run_id, std::string text,
+                         IngestDone done)
+{
+    Task task;
+    task.kind = Task::Kind::kText;
+    task.run_id = std::move(run_id);
+    task.payload = std::move(text);
+    task.bytes = task.payload.size();
+    task.done = std::move(done);
+    return enqueue(std::move(task), /*block=*/false);
 }
 
 void
@@ -310,56 +330,61 @@ ProfileStore::ingestFile(std::string run_id, std::string path)
     task.kind = Task::Kind::kFile;
     task.run_id = std::move(run_id);
     task.payload = std::move(path);
-    enqueue(std::move(task));
+    enqueue(std::move(task), /*block=*/true);
 }
 
-void
-ProfileStore::enqueue(Task task)
+bool
+ProfileStore::enqueue(Task task, bool block)
 {
     bool schedule = false;
+    bool rejected = false;
     {
         std::unique_lock<std::mutex> lock(queue_mutex_);
+        // The byte bound is a high-water mark, so one oversized payload
+        // still gets through when the queue is otherwise empty.
+        const auto has_room = [this] {
+            return queue_.size() < max_queue_ &&
+                   queued_bytes_ < max_queue_bytes_;
+        };
+        if (!block && !stopping_ && !has_room())
+            return false;
         ++active_producers_;
         ++stats_.enqueued;
         // Backpressure: block the producer until the drainers catch up
-        // (or the store is shutting down). The byte bound is a
-        // high-water mark, so one oversized payload still gets through
-        // when the queue is otherwise empty.
-        space_cv_.wait(lock, [this] {
-            return stopping_ || (queue_.size() < max_queue_ &&
-                                 queued_bytes_ < max_queue_bytes_);
-        });
+        // (or the store is shutting down).
+        space_cv_.wait(lock, [&] { return stopping_ || has_room(); });
         if (stopping_) {
             // A producer racing shutdown gets its task rejected and
             // recorded — never a process abort; the destructor is
             // waiting on idle_cv_ for us to leave.
-            recordFailureLocked(task.run_id,
-                                "store is shutting down");
-            --active_producers_;
-            idle_cv_.notify_all();
-            return;
-        }
-        queued_bytes_ += task.bytes;
-        queue_.push_back(std::move(task));
-        if (drainers_ < worker_limit_) {
-            ++drainers_;
-            schedule = true;
+            recordFailureLocked(task.run_id, "store is shutting down");
+            rejected = true;
+        } else {
+            queued_bytes_ += task.bytes;
+            queue_.push_back(std::move(task));
+            if (drainers_ < worker_limit_) {
+                ++drainers_;
+                schedule = true;
+            }
         }
     }
-    // The submit happens outside queue_mutex_: a saturated pool runs
-    // the drain inline on this thread (synchronous ingestion is the
-    // overflow backpressure), which must not deadlock on our own
-    // lock. We stay counted as a producer until after it returns, so
-    // the destructor cannot win the race between our push and the
-    // pool accepting the task.
+    // Outside queue_mutex_: a saturated pool runs the drain inline on
+    // this thread (synchronous ingestion is the overflow backpressure),
+    // which must not deadlock on our own lock — and a completion must
+    // never run under it. We stay counted as a producer until both
+    // return, so the destructor cannot win the race between our push
+    // and the pool accepting the task.
     if (schedule)
-        executor_->submit([this] { drainQueue(); });
+        drains_.submit([this] { drainQueue(); });
+    if (rejected && task.done)
+        task.done(IngestOutcome::kRejected, "store is shutting down");
     {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         --active_producers_;
         if (active_producers_ == 0)
             idle_cv_.notify_all();
     }
+    return true;
 }
 
 void
@@ -381,16 +406,9 @@ ProfileStore::drainQueue()
             task = std::move(queue_.front());
             queue_.pop_front();
             queued_bytes_ -= task.bytes;
-            ++active_workers_;
         }
         space_cv_.notify_one();
         process(task);
-        {
-            std::lock_guard<std::mutex> lock(queue_mutex_);
-            --active_workers_;
-            if (queue_.empty() && active_workers_ == 0)
-                idle_cv_.notify_all();
-        }
     }
 }
 
@@ -408,7 +426,7 @@ ProfileStore::process(Task &task)
         // invalid one would corrupt or abort later merge queries.
         std::string error;
         if (!task.profile->validate(&error)) {
-            recordFailure(task.run_id, std::move(error));
+            reject(task, std::move(error));
             return;
         }
         {
@@ -464,7 +482,7 @@ ProfileStore::process(Task &task)
                 std::lock_guard<std::mutex> lock(queue_mutex_);
                 stats_.interned_bytes += interned_delta;
             }
-            recordFailure(task.run_id, std::move(error));
+            reject(task, std::move(error));
             return;
         }
         profile = std::move(parsed);
@@ -480,11 +498,10 @@ ProfileStore::process(Task &task)
         // unreferenced once the rejected tree dies, and a later
         // compactNames() reclaims it — while ones made of known names
         // still ingest at zero growth.
-        recordFailure(task.run_id,
-                      "interned-name budget exceeded (" +
-                          std::to_string(table_bytes) + " of " +
-                          std::to_string(max_interned_bytes_) +
-                          " bytes of name text)");
+        reject(task, "interned-name budget exceeded (" +
+                         std::to_string(table_bytes) + " of " +
+                         std::to_string(max_interned_bytes_) +
+                         " bytes of name text)");
         return;
     }
 
@@ -528,15 +545,16 @@ ProfileStore::process(Task &task)
     }
     endPublish(seq);
     if (!inserted) {
-        recordFailure(task.run_id, "duplicate run id");
+        reject(task, "duplicate run id");
         return;
     }
+    bool append_ok = true;
+    std::string append_error;
     if (log_ != nullptr) {
         s_fp_published.eval();
         awaitLogTurn(ticket);
-        std::string append_error;
         std::uint64_t commit_seq = 0;
-        bool append_ok = log_->appendRunAsync(
+        append_ok = log_->appendRunAsync(
             task.run_id, log_text, &commit_seq, &append_error);
         if (append_ok)
             s_fp_appended.eval();
@@ -549,7 +567,7 @@ ProfileStore::process(Task &task)
             append_ok = log_->sync(commit_seq, &append_error);
         if (append_ok)
             s_fp_synced.eval();
-        noteAppend(append_ok, task.run_id, std::move(append_error));
+        noteAppend(append_ok, task.run_id, append_error);
         gate.unlock();
     }
     {
@@ -561,6 +579,30 @@ ProfileStore::process(Task &task)
         maybeAutoCompactLog();
         maybeAutoCheckpoint();
     }
+    if (task.done) {
+        // Our own insert is done, but a lower sequence may still be
+        // mid-insert on another drainer; an acked run must be in every
+        // later snapshotRange().
+        awaitPublished(seq);
+        task.done(append_ok ? IngestOutcome::kStored
+                            : IngestOutcome::kNotDurable,
+                  std::move(append_error));
+    }
+}
+
+void
+ProfileStore::reject(Task &task, std::string error)
+{
+    recordFailure(task.run_id, error);
+    if (task.done)
+        task.done(IngestOutcome::kRejected, std::move(error));
+}
+
+void
+ProfileStore::awaitPublished(std::uint64_t seq)
+{
+    std::unique_lock<std::mutex> lock(gen_mutex_);
+    published_cv_.wait(lock, [&] { return floor_ >= seq; });
 }
 
 std::uint64_t
@@ -667,9 +709,12 @@ ProfileStore::beginPublish()
 void
 ProfileStore::endPublish(std::uint64_t seq)
 {
-    std::lock_guard<std::mutex> lock(gen_mutex_);
-    in_flight_.erase(seq);
-    floor_ = in_flight_.empty() ? last_seq_ : *in_flight_.begin() - 1;
+    {
+        std::lock_guard<std::mutex> lock(gen_mutex_);
+        in_flight_.erase(seq);
+        floor_ = in_flight_.empty() ? last_seq_ : *in_flight_.begin() - 1;
+    }
+    published_cv_.notify_all();
 }
 
 ProfileStore::Generation
@@ -983,14 +1028,22 @@ ProfileStore::recordFailureLocked(const std::string &run_id,
 void
 ProfileStore::waitIdle()
 {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    // Also wait for producers inside enqueue(): a backpressured
-    // producer has already been counted in stats_.enqueued, so
-    // returning before its push would break the exact-totals contract.
-    idle_cv_.wait(lock, [this] {
-        return queue_.empty() && active_workers_ == 0 &&
-               active_producers_ == 0;
-    });
+    for (;;) {
+        // Help run our own queued drains: a waiter on a pool thread
+        // must never sleep on work only the pool can run.
+        drains_.wait();
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        // Also wait for producers inside enqueue(): a backpressured
+        // producer has already been counted in stats_.enqueued, so
+        // returning before its push would break the exact-totals
+        // contract. No drainer means an empty queue.
+        if (drainers_ == 0 && active_producers_ == 0)
+            return;
+        // A producer is mid-enqueue, or a drain was scheduled after
+        // wait() returned: re-poll shortly (a drain we could help with
+        // may appear without a notify).
+        idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    }
 }
 
 std::shared_ptr<const prof::ProfileDb>

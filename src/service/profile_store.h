@@ -15,9 +15,18 @@
  * schedules a drainer (up to Options::workers concurrent ones), each
  * drainer processes tasks until the queue is empty and exits — the
  * store holds no idle ingestion threads of its own, and ingestion
- * shares cores with query rebuilds under one process-wide pool. Shards keep lock contention
- * flat as the corpus and the reader count grow; readers receive
- * shared_ptr snapshots so queries never block ingestion of other runs.
+ * shares cores with query rebuilds under one process-wide pool. The
+ * drains form one TaskGroup per store, so waitIdle() and the
+ * destructor help run this store's queued drains instead of sleeping
+ * on them — safe to call from a pool thread. Shards keep lock
+ * contention flat as the corpus and the reader count grow; readers
+ * receive shared_ptr snapshots so queries never block ingestion of
+ * other runs.
+ *
+ * An asynchronous caller (the wire server) ingests with a per-run
+ * completion (IngestDone) instead of waiting for the whole store: it
+ * reports this run's own outcome — rejected, stored but not durable,
+ * or stored — from the drain task that processed it.
  *
  * Malformed files are counted and recorded (run id + error) rather than
  * panicking the process — warehouse input is untrusted.
@@ -128,6 +137,28 @@ struct StoreStats {
     /// compactNames() calls (including no-op ones).
     std::uint64_t compactions = 0;
 };
+
+/** One ingest's own outcome, as its IngestDone reports it. */
+enum class IngestOutcome {
+    /// Stored and visible to queries; on a store with a run log, its
+    /// record's group-commit sync succeeded (durable).
+    kStored,
+    /// Stored and served from memory, but its own log append or sync
+    /// failed — a restart may lose it until re-attach re-appends it.
+    kNotDurable,
+    /// Not stored: parse error, duplicate run id, interned-name budget,
+    /// or the store shutting down.
+    kRejected,
+};
+
+/**
+ * Per-run ingest completion: fires exactly once with the run's outcome
+ * and, unless kStored, the reason. It runs on whichever thread settled
+ * the run and must not call back into that store's ingest or
+ * waitIdle().
+ */
+using IngestDone =
+    std::function<void(IngestOutcome outcome, std::string error)>;
 
 /**
  * Sharded, concurrently-ingesting profile store.
@@ -256,12 +287,24 @@ class ProfileStore
     /** Queue serialized profile text; parsed on a worker. */
     void ingestText(std::string run_id, std::string text);
 
+    /**
+     * Non-blocking ingestText() with a per-run completion. A full
+     * queue (max_queue or max_queue_bytes) returns false at once and
+     * @p done is not called. Otherwise @p done (when set) fires exactly
+     * once: inline when a shutting-down store rejects the run, else on
+     * the drain task that settled it — after the run is visible
+     * through generation() and snapshotRange(), and on a store with a
+     * log after its own commit is synced.
+     */
+    bool ingestText(std::string run_id, std::string text, IngestDone done);
+
     /** Queue a profile file; read and parsed on a worker. */
     void ingestFile(std::string run_id, std::string path);
 
     /**
      * Block until every queued ingestion — including in-flight ingest
-     * calls blocked on backpressure — has been processed.
+     * calls blocked on backpressure — has been processed. Helps run
+     * this store's queued drains while waiting.
      */
     void waitIdle();
 
@@ -423,6 +466,7 @@ class ProfileStore
         /// Memory the queued task pins (text size, or the handed-off
         /// profile's tree estimate) — charged against max_queue_bytes.
         std::uint64_t bytes = 0;
+        IngestDone done; ///< May be null.
     };
 
     /// One stored run plus the publication sequence it became visible
@@ -440,11 +484,17 @@ class ProfileStore
     Shard &shardFor(const std::string &run_id);
     const Shard &shardFor(const std::string &run_id) const;
 
-    void enqueue(Task task);
+    /// Queue @p task. With @p block false a full queue returns false
+    /// instead of waiting for room (the task is dropped, unreported).
+    bool enqueue(Task task, bool block);
     /// One pooled drain task: process queued ingestions until the
     /// queue is empty, then retire (enqueue() schedules replacements).
     void drainQueue();
     void process(Task &task);
+    /// Record @p task's failure and report it to its completion.
+    void reject(Task &task, std::string error);
+    /// Block until generation().ingested covers @p seq.
+    void awaitPublished(std::uint64_t seq);
     void recordFailure(const std::string &run_id, std::string error);
     /// Requires queue_mutex_ held.
     void recordFailureLocked(const std::string &run_id,
@@ -572,6 +622,7 @@ class ProfileStore
     std::uint64_t erased_ = 0;    ///< Successful erase() count.
     std::uint64_t compacted_ = 0; ///< Reclaiming compactNames() count.
     std::set<std::uint64_t> in_flight_;
+    std::condition_variable published_cv_; ///< floor_ advanced.
 
     // Ingestion queue state.
     mutable std::mutex queue_mutex_;
@@ -584,21 +635,23 @@ class ProfileStore
     std::uint64_t max_queue_bytes_ = 256ull << 20;
     std::uint64_t max_interned_bytes_ = 1ull << 30;
     std::uint64_t queued_bytes_ = 0; ///< Payload bytes in queue_.
-    std::size_t active_workers_ = 0;   ///< Drainers mid-task.
     std::size_t active_producers_ = 0; ///< Threads inside enqueue();
                                        ///< the destructor waits for
                                        ///< them so an in-flight ingest
                                        ///< call never touches a freed
                                        ///< store.
-    /// Drain tasks scheduled or running on the executor. The
-    /// destructor waits for 0 so no pool task outlives the store.
+    /// Drain tasks scheduled or running (at most worker_limit_). A
+    /// non-empty queue always has one.
     std::size_t drainers_ = 0;
     bool stopping_ = false;
     StoreStats stats_;
     std::vector<std::pair<std::string, std::string>> failures_;
 
-    common::Executor *executor_ = nullptr; ///< Never null after ctor.
-    std::size_t worker_limit_ = 1;         ///< Max concurrent drainers.
+    std::size_t worker_limit_ = 1; ///< Max concurrent drainers.
+    /// Every drain task, on Options::executor, so waitIdle() and the
+    /// destructor can help run this store's queued drains (no
+    /// deadline: drains never cancel).
+    common::TaskGroup drains_;
 };
 
 } // namespace dc::service

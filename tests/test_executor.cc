@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared work-stealing executor tests: completion and accounting,
- * inline overflow shedding, TaskGroup deadline capture/propagation,
- * cancellation, nested-submit safety on a one-thread pool, the
- * own-group-only helping rule lock-holding waiters depend on, and
- * the multi-producer stress the TSan CI job leans on.
+ * inline overflow shedding, the never-inline trySubmit, TaskGroup
+ * deadline capture/propagation, cancellation, nested-submit safety on
+ * a one-thread pool, the own-group-only helping rule lock-holding
+ * waiters depend on, and the multi-producer stress the TSan CI job
+ * leans on.
  */
 
 #include <gtest/gtest.h>
@@ -96,6 +97,31 @@ TEST(Executor, InlineOverflowRunsOnSubmitter)
         std::this_thread::yield();
     }
     EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(Executor, TrySubmitNeverRunsOnTheCaller)
+{
+    std::atomic<int> ran{0};
+    {
+        Executor executor({.threads = 1, .queue_capacity = 1});
+        std::promise<void> release;
+        std::shared_future<void> gate(release.get_future());
+        std::atomic<bool> worker_busy{false};
+        executor.submit([&worker_busy, gate] {
+            worker_busy = true;
+            gate.wait();
+        });
+        while (!worker_busy.load())
+            std::this_thread::yield();
+
+        EXPECT_TRUE(executor.trySubmit([&ran] { ++ran; })); // last slot
+        const std::uint64_t inline_before = executor.stats().inline_run;
+        EXPECT_FALSE(executor.trySubmit([&ran] { ran += 100; }));
+        EXPECT_EQ(ran.load(), 0) << "a refused task never runs here";
+        EXPECT_EQ(executor.stats().inline_run, inline_before);
+        release.set_value();
+    } // the destructor drains every queued task
+    EXPECT_EQ(ran.load(), 1) << "the refused task is dropped, not queued";
 }
 
 TEST(Executor, GroupCapturesSubmitterDeadline)

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/executor.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/rng.h"
@@ -354,7 +355,7 @@ struct Harness {
     CorpusHandle corpus;
     WireServer server;
 
-    explicit Harness(ServerOptions options = testOptions())
+    explicit Harness(ServerOptions options = {})
         : manager(managerOptions()),
           corpus(manager.create(server::kDefaultCorpus)),
           server(manager, options)
@@ -374,14 +375,6 @@ struct Harness {
     {
         ProfileStore::Options options;
         options.workers = 1;
-        return options;
-    }
-
-    static ServerOptions
-    testOptions()
-    {
-        ServerOptions options;
-        options.workers = 2;
         return options;
     }
 
@@ -579,7 +572,7 @@ TEST(WireServer, ForgedLengthHeaderIsRejected)
 
 TEST(WireServer, SlowLorisHitsIdleTimeout)
 {
-    ServerOptions options = Harness::testOptions();
+    ServerOptions options;
     options.idle_timeout_ms = 150;
     Harness h(options);
     ASSERT_TRUE(h.start());
@@ -604,7 +597,7 @@ TEST(WireServer, SlowLorisHitsIdleTimeout)
 
 TEST(WireServer, NonReadingPeerIsDisconnected)
 {
-    ServerOptions options = Harness::testOptions();
+    ServerOptions options;
     options.write_stall_timeout_ms = 150;
     Harness h(options);
     ASSERT_TRUE(h.start());
@@ -623,12 +616,11 @@ TEST(WireServer, NonReadingPeerIsDisconnected)
 
 TEST(WireServer, OverloadShedsWithExplicitStatus)
 {
-    ServerOptions options = Harness::testOptions();
-    options.workers = 1;
+    ServerOptions options;
     options.max_pending = 3;
     Harness h(options);
     ASSERT_TRUE(h.start());
-    // Stall the single worker so the pipelined burst below arrives
+    // Stall every admitted request so the pipelined burst below arrives
     // while the pending watermark is held down.
     ASSERT_TRUE(failpoint::set("srv.exec", "delay(150)"));
     WireClient client = h.client();
@@ -668,8 +660,7 @@ TEST(WireServer, OverloadShedsWithExplicitStatus)
 
 TEST(WireServer, PerConnectionPipelineCap)
 {
-    ServerOptions options = Harness::testOptions();
-    options.workers = 1;
+    ServerOptions options;
     options.max_pending = 1024;
     options.max_conn_pending = 2;
     Harness h(options);
@@ -812,9 +803,7 @@ TEST(ServerSoak, ConcurrentMixedOpsUnderFaults)
 {
     if (std::getenv("DC_SERVER_SOAK") == nullptr)
         GTEST_SKIP() << "set DC_SERVER_SOAK=1 to run the soak";
-    ServerOptions options = Harness::testOptions();
-    options.workers = 4;
-    Harness h(options);
+    Harness h;
     ASSERT_TRUE(h.start());
     ASSERT_TRUE(failpoint::set("srv.accept", "error:every=17"));
     ASSERT_TRUE(failpoint::set("srv.read", "error:every=23"));
@@ -950,6 +939,127 @@ TEST(StoreStats, ReattachSupervisorStateIsObservable)
 }
 
 // ================================================================
+// Durable acks report the run's own outcome, from its own completion.
+// ================================================================
+
+/** Durable manager (log_sync on) + server; unscoped = default corpus. */
+struct DurableHarness {
+    WarehouseManager manager;
+    WireServer server;
+
+    explicit DurableHarness(const std::string &name)
+        : manager(managerOptions(name)), server(manager)
+    {
+    }
+
+    static WarehouseManager::Options
+    managerOptions(const std::string &name)
+    {
+        WarehouseManager::Options options;
+        options.root_dir = freshDir(name);
+        options.store = Harness::memOptions();
+        return options;
+    }
+
+    WireClient
+    client()
+    {
+        WireClient c;
+        std::string error;
+        EXPECT_TRUE(c.connect("127.0.0.1", server.port(), &error))
+            << error;
+        return c;
+    }
+};
+
+TEST(WireServer, DurableAckIsTheRunsOwnOutcome)
+{
+    DurableHarness h("ack_outcomes");
+    ASSERT_TRUE(h.server.start());
+    WireClient client = h.client();
+    std::string parse_error;
+    ASSERT_EQ(ProfileDb::tryDeserialize("not a profile", &parse_error),
+              nullptr);
+    ASSERT_FALSE(parse_error.empty());
+
+    struct Case {
+        const char *name;
+        std::string run_id;
+        std::string text;
+        const char *failpoint; ///< Armed "error" for this ingest only.
+        Status status;
+        std::string reply; ///< Substring of the reply payload.
+    };
+    const Case cases[] = {
+        {"healthy", "run-a", profileText(1), nullptr, Status::kOk, ""},
+        {"duplicate id", "run-a", profileText(2), nullptr, Status::kError,
+         "duplicate run id"},
+        {"parse error", "run-b", "not a profile", nullptr, Status::kError,
+         parse_error},
+        {"append fails", "run-c", profileText(3), "wal.append.write",
+         Status::kError, "stored but not durable"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        if (c.failpoint != nullptr) {
+            ASSERT_TRUE(failpoint::set(c.failpoint, "error"));
+        }
+        const WireClient::Result ack =
+            client.ingest(c.run_id, c.text, /*durable=*/true);
+        failpoint::clearAll();
+        ASSERT_TRUE(ack.ok) << ack.error;
+        EXPECT_EQ(ack.status, c.status) << ack.payload;
+        EXPECT_NE(ack.payload.find(c.reply), std::string::npos)
+            << ack.payload;
+    }
+    const CorpusHandle corpus = h.manager.open(server::kDefaultCorpus);
+    ASSERT_NE(corpus, nullptr);
+    EXPECT_EQ(corpus->store.get("run-b"), nullptr);
+    EXPECT_NE(corpus->store.get("run-c"), nullptr)
+        << "not durable, but served from memory";
+}
+
+TEST(WireServer, NoRequestWaitsBehindAStoredIngest)
+{
+    if (common::Executor::global().threads() < 3)
+        GTEST_SKIP() << "needs a pool thread beside two stalled drains";
+    DurableHarness h("stalled_ingests");
+    ASSERT_NE(h.manager.create("a"), nullptr);
+    ASSERT_NE(h.manager.create("b"), nullptr);
+    ASSERT_TRUE(h.server.start());
+    // Both durable ingests stall inside their stores, between publish
+    // and log append; neither may hold a thread a ping needs.
+    ASSERT_TRUE(failpoint::set("store.ingest.published", "delay(300)"));
+    std::vector<std::thread> writers;
+    std::atomic<int> acked{0};
+    for (const char *corpus : {"a", "b"}) {
+        writers.emplace_back([&h, &acked, corpus] {
+            WireClient writer = h.client();
+            writer.setCorpus(corpus);
+            if (writer.ingest(std::string("run-") + corpus, profileText(4),
+                              /*durable=*/true)
+                    .status == Status::kOk) {
+                acked.fetch_add(1);
+            }
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WireClient pinger = h.client();
+    const auto start = std::chrono::steady_clock::now();
+    const WireClient::Result pong = pinger.ping("not stuck");
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start);
+    for (std::thread &writer : writers)
+        writer.join();
+    failpoint::clearAll();
+    ASSERT_TRUE(pong.ok) << pong.error;
+    EXPECT_EQ(pong.status, Status::kOk);
+    EXPECT_LT(elapsed.count(), 150) << "ping queued behind stored ingests";
+    EXPECT_EQ(acked.load(), 2);
+}
+
+// ================================================================
 // S6: server crash torture — SIGKILL the serving process mid-stream,
 // restart, and hold it to the durable-ack contract over the wire.
 // ================================================================
@@ -983,7 +1093,7 @@ TEST(ServerCrashTortureChild, Serve)
     options.root_dir = dir;
     options.store = serverTortureOptions();
     WarehouseManager manager(options);
-    WireServer server(manager, Harness::testOptions());
+    WireServer server(manager);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     ASSERT_TRUE(atomicWriteFile(

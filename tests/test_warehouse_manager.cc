@@ -723,17 +723,9 @@ struct WarehouseHarness {
 
     explicit WarehouseHarness(
         WarehouseManager::Options manager_options = volatileOptions(),
-        ServerOptions options = testServerOptions())
+        ServerOptions options = {})
         : manager(std::move(manager_options)), server(manager, options)
     {
-    }
-
-    static ServerOptions
-    testServerOptions()
-    {
-        ServerOptions options;
-        options.workers = 2;
-        return options;
     }
 
     bool
@@ -851,6 +843,23 @@ TEST(WireWarehouse, DefaultCorpusServesUnscopedRequests)
     EXPECT_EQ(h.manager.open(server::kDefaultCorpus)->store.size(), 1u);
 }
 
+TEST(WireWarehouse, UnscopedReadsDoNotCreateDefaultCorpus)
+{
+    const std::string root = freshRoot("unscoped_reads");
+    WarehouseHarness h(durableOptions(root));
+    ASSERT_TRUE(h.start());
+    WireClient client = h.client();
+
+    // Only a write brings the default corpus into being: reads of a
+    // missing one are NOT_FOUND and leave nothing on disk.
+    std::vector<server::KernelRow> rows;
+    EXPECT_EQ(client.topKernels(8, "", {}, &rows).status,
+              Status::kNotFound);
+    EXPECT_EQ(client.stats().status, Status::kNotFound);
+    EXPECT_TRUE(h.manager.corpusIds().empty());
+    EXPECT_FALSE(pathExists(root + "/" + server::kDefaultCorpus));
+}
+
 TEST(WireWarehouse, FederatedOpcodesRoundTrip)
 {
     WarehouseHarness h;
@@ -963,7 +972,7 @@ TEST(WarehouseCrashTortureChild, Serve)
             << "warehouse torture child only runs under the harness";
     }
     WarehouseManager manager(tortureManagerOptions(root));
-    WireServer server(manager, WarehouseHarness::testServerOptions());
+    WireServer server(manager);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     ASSERT_TRUE(atomicWriteFile(
